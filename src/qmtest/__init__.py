@@ -60,13 +60,12 @@ from .schur import (
     perminv_defect,
     permutation_operator,
 )
-from .blackbox import BlackBox, ChoiSample, aggregate_multinomial, chernoff_samples, swap_test_sample
+from .blackbox import BlackBox, SampleBudgetExceeded, aggregate_multinomial, chernoff_samples
 from .testers import (
     FiniteSetSpec,
     TesterConfig,
     Verdict,
     estimate_distance,
-    estimate_overlap,
     test_finite_set,
     test_identity,
     test_klocal,

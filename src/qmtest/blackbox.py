@@ -8,20 +8,39 @@ measurements on that post-state (Pauli-basis labels, single-site signs,
 symmetry-adapted checks) are sampled from their exact distributions computed
 out of the hidden operators; post-states are never materialized.
 
-Aggregate sampling replaces runs of i.i.d. queries by exact multinomial or
-binomial draws; it is distributionally identical to the per-trial path and
-makes the published sample sizes (up to ~1e12) feasible.
+The box owns the sampling mode, fixed at construction, and every draw a
+tester makes goes through one of its ``sample_*`` methods, or through
+``paired_swap_zeros`` for two boxes side by side.  In ``"aggregate"`` mode a
+run of i.i.d. draws is one exact multinomial or binomial draw, which makes
+the published sample sizes (up to ~1e12) feasible.  In ``"per_trial"`` mode
+each draw is made individually, at most ``CHUNK`` = 2^20 at a time, so memory
+stays bounded; the chunked stream equals the whole-array stream bit for bit,
+generator state afterwards included.  Both modes give the same distribution,
+and per-trial mode is the reference that aggregate mode is checked against.
+A draw count beyond int64 raises ``SampleBudgetExceeded`` before any draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import pauli, schur
-from .core import Measurement, ZeroOperator, hs_inner, normalized_choi
+from .core import Measurement, QmtestError, ZeroOperator, hs_inner
+
+SAMPLING_MODES = ("aggregate", "per_trial")
+CHUNK = 1 << 20
+MAX_DRAWS = int(np.iinfo(np.int64).max)
+
+
+class SampleBudgetExceeded(QmtestError):
+    """A draw count does not fit the generator's int64 counts."""
+
+
+def _check_budget(n: int) -> None:
+    if n > MAX_DRAWS:
+        raise SampleBudgetExceeded(f"{n} draws exceed the int64 budget of {MAX_DRAWS}")
 
 
 def chernoff_samples(epsilon: float, delta: float) -> int:
@@ -35,20 +54,6 @@ def chernoff_samples(epsilon: float, delta: float) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
 
 
-def swap_test_sample(overlap: float, rng: np.random.Generator) -> int:
-    """One controlled-swap interference bit: 0 with probability (1+overlap^2)/2."""
-    if not 0.0 <= overlap <= 1.0 + 1e-12:
-        raise ValueError(f"overlap {overlap} outside [0, 1]")
-    p0 = (1.0 + min(overlap, 1.0) ** 2) / 2.0
-    return 0 if rng.random() < p0 else 1
-
-
-def swap_test_zero_count(copies: int, overlap: float, rng: np.random.Generator) -> int:
-    """Aggregate draw: number of 0 outcomes among ``copies`` swap tests."""
-    p0 = (1.0 + min(max(overlap, 0.0), 1.0) ** 2) / 2.0
-    return int(rng.binomial(copies, p0))
-
-
 def aggregate_multinomial(L: int, probs, rng: np.random.Generator) -> np.ndarray:
     """Exact multinomial counts for L categorical draws.
 
@@ -58,6 +63,7 @@ def aggregate_multinomial(L: int, probs, rng: np.random.Generator) -> np.ndarray
     """
     if L < 0:
         raise ValueError("L must be non-negative")
+    _check_budget(L)
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < -1e-12):
         raise ValueError("negative probability")
@@ -70,27 +76,40 @@ def aggregate_multinomial(L: int, probs, rng: np.random.Generator) -> np.ndarray
     return rng.multinomial(L, probs / total)
 
 
-@dataclass(frozen=True)
-class ChoiSample:
-    """Outcome of one entangled query; the post-state resolves lazily."""
+def _chunked_counts(total: int, size: int, draw) -> np.ndarray:
+    """Category counts of ``total`` per-trial draws, made ``CHUNK`` at a time.
 
-    outcome: int
-    _box: "BlackBox"
+    ``draw(m)`` returns m category indices from the stream.
+    """
+    _check_budget(total)
+    counts = np.zeros(size, dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        counts += np.bincount(draw(min(CHUNK, total - start)), minlength=size)
+    return counts
 
-    def post_state(self) -> np.ndarray:
-        """Normalized post-measurement vector (simulator-side convenience)."""
-        return normalized_choi(self._box._hidden.operators[self.outcome])
+
+def _bernoulli_count(n: int, p: float, rng: np.random.Generator, sampling: str) -> int:
+    """Successes among n independent trials that each succeed with probability p."""
+    if sampling == "per_trial":
+        return int(_chunked_counts(n, 2, lambda m: rng.random(m) < p)[1])
+    _check_budget(n)
+    return int(rng.binomial(n, p))
 
 
 class BlackBox:
-    """Opaque measurement device with query accounting and a seeded stream.
+    """Opaque measurement device with query accounting, a seeded stream and a
+    sampling mode (one of ``SAMPLING_MODES``).
 
     Testers interact only through the sampling methods; the hidden measurement
     is an implementation detail of the simulation.  ``d`` must be supplied for
     the label-level samplers (the hidden dimension must be a power of d).
     """
 
-    def __init__(self, measurement: Measurement, seed=None, d: int | None = None):
+    def __init__(self, measurement: Measurement, seed=None, d: int | None = None,
+                 sampling: str = "aggregate"):
+        if sampling not in SAMPLING_MODES:
+            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
+        self.sampling = sampling
         self._hidden = measurement
         self.rng = np.random.default_rng(seed)
         self.query_count = 0
@@ -116,20 +135,16 @@ class BlackBox:
             self._choi_probs = p / p.sum()
         return self._choi_probs
 
-    def query_on_choi(self) -> ChoiSample:
-        """One entangled query; increments the counter by one."""
-        i = int(self.rng.choice(self.num_outcomes, p=self.choi_probs()))
-        self.query_count += 1
-        return ChoiSample(outcome=i, _box=self)
-
     def query_batch(self, L: int) -> np.ndarray:
-        """L per-trial queries at once; returns the outcome sequence."""
+        """L individual queries (one per-trial chunk); returns the outcome sequence."""
         out = self.rng.choice(self.num_outcomes, size=L, p=self.choi_probs())
         self.query_count += L
         return out
 
     def sample_outcome_counts(self, L: int) -> np.ndarray:
-        """Aggregate draw of outcome counts for L queries."""
+        """Outcome counts of L entangled queries; charges L queries."""
+        if self.sampling == "per_trial":
+            return _chunked_counts(L, self.num_outcomes, self.query_batch)
         counts = aggregate_multinomial(L, self.choi_probs(), self.rng)
         self.query_count += L
         return counts
@@ -146,20 +161,20 @@ class BlackBox:
             self._q_dists[outcome] = pauli.q_distribution(op, self.d, self.n)
         return self._q_dists[outcome]
 
-    def measure_choi_pauli_basis(self, sample: ChoiSample) -> pauli.PauliLabel:
-        """Measure the sample's post-state in the vectorized-Pauli basis."""
-        q = self.q_distribution(sample.outcome)
-        idx = int(self.rng.choice(q.size, p=q))
-        return pauli.label_from_index(idx, self.d, self.n)
+    def label_batch(self, outcome: int, T: int) -> np.ndarray:
+        """T individual label draws (one per-trial chunk) for one branch."""
+        q = self.q_distribution(outcome)
+        return self.rng.choice(q.size, size=T, p=q)
 
     def sample_label_counts(self, outcome: int, T: int) -> np.ndarray:
-        """Aggregate label counts for T Pauli-basis measurements on one branch."""
-        return aggregate_multinomial(T, self.q_distribution(outcome), self.rng)
+        """Label counts of T Pauli-basis measurements on one branch's post-state.
 
-    def label_batch(self, outcome: int, T: int) -> np.ndarray:
-        """T per-trial label draws (as label indices) for one branch."""
-        return self.rng.choice(self.q_distribution(outcome).size, size=T,
-                               p=self.q_distribution(outcome))
+        These are follow-up measurements: no queries are charged.
+        """
+        q = self.q_distribution(outcome)
+        if self.sampling == "per_trial":
+            return _chunked_counts(T, q.size, lambda m: self.label_batch(outcome, m))
+        return aggregate_multinomial(T, q, self.rng)
 
     def joint_label_distribution(self) -> np.ndarray:
         """Law of (outcome, then label) marginalized to labels: sum_i |mu(M_i)|^2."""
@@ -169,7 +184,18 @@ class BlackBox:
         return self._xi
 
     def sample_joint_label_counts(self, L: int) -> np.ndarray:
-        """Aggregate label counts for L query-then-label rounds; charges L queries."""
+        """Label counts of L query-then-label rounds; charges L queries.
+
+        Per trial, all L queries come first, then the labels of each observed
+        outcome in ascending outcome order.
+        """
+        self._require_label_space()
+        if self.sampling == "per_trial":
+            outcomes = self.sample_outcome_counts(L)
+            counts = np.zeros(self.d ** (2 * self.n), dtype=np.int64)
+            for i in np.nonzero(outcomes)[0]:
+                counts += self.sample_label_counts(int(i), int(outcomes[i]))
+            return counts
         counts = aggregate_multinomial(L, self.joint_label_distribution(), self.rng)
         self.query_count += L
         return counts
@@ -194,10 +220,10 @@ class BlackBox:
             self._sign_probs[key] = min(max(num / den, 0.0), 1.0)
         return self._sign_probs[key]
 
-    def measure_stabilizer_sign(self, sample: ChoiSample, label: pauli.PauliLabel) -> int:
-        """Sitewise sign product of single-qubit Pauli measurements: +1 or -1."""
-        p_plus = self.sign_plus_prob(sample.outcome, label)
-        return 1 if self.rng.random() < p_plus else -1
+    def sample_failure_count(self, W: int, p_fail: float) -> int:
+        """Failures among W independent checks that each fail with probability
+        p_fail (the stabilizer sign checks); no queries are charged."""
+        return _bernoulli_count(W, p_fail, self.rng, self.sampling)
 
     def schur_audit(self, basis: schur.SchurBasis):
         """Pass probability and per-(shape, outcome) event probabilities."""
@@ -229,6 +255,29 @@ class BlackBox:
         self.query_count += 1
         return passed
 
+    def sample_first_failure(self, basis: schur.SchurBasis, L: int) -> int:
+        """First failing iteration among L symmetry checks, or L + 1 if all pass.
+
+        Charges the iterations run, min(first failure, L).  Per trial, the
+        checks run one by one; in aggregate the geometric first failure is
+        drawn from one uniform by inverse transform.
+        """
+        if self.sampling == "per_trial":
+            for j in range(1, L + 1):
+                if not self.schur_iteration(basis):
+                    return j
+            return L + 1
+        p = self.schur_pass_prob(basis)
+        u = self.rng.random()
+        if p <= 0.0:
+            first = 1
+        elif p >= 1.0 or u <= 0.0:
+            first = L + 1
+        else:
+            first = min(1 + math.floor(math.log(u) / math.log(p)), L + 1)
+        self.query_count += min(first, L)
+        return first
+
 
 def hidden_choi_overlap(box_m: BlackBox, box_n: BlackBox, outcome: int) -> float:
     """|<v~(M_i)|v~(N_i)>| from the hidden operators.
@@ -246,15 +295,22 @@ def hidden_choi_overlap(box_m: BlackBox, box_n: BlackBox, outcome: int) -> float
     return min(abs(hs_inner(a, b)) / (na * nb), 1.0)
 
 
-def paired_swap_zeros(box_m: BlackBox, box_n: BlackBox, outcome: int, copies: int,
-                      rng: np.random.Generator, per_trial: bool = False) -> int:
-    """Zero-outcome count of swap tests on matching post-states of two boxes.
+def shared_sampling(box_m: BlackBox, box_n: BlackBox) -> str:
+    """The sampling mode of two boxes queried side by side; they must agree."""
+    if box_m.sampling != box_n.sampling:
+        raise ValueError(f"boxes sample differently: {box_m.sampling} vs {box_n.sampling}")
+    return box_m.sampling
 
-    The interference probability comes from the hidden operators; callers see
-    only the sampled count, never the overlap itself.
+
+def paired_swap_zeros(box_m: BlackBox, box_n: BlackBox, outcome: int, copies: int,
+                      rng: np.random.Generator) -> int:
+    """Zero-outcome count of ``copies`` swap tests on matching post-states.
+
+    A swap test on states with overlap lambda gives 0 with probability
+    (1 + lambda^2)/2.  The overlap comes from the hidden operators; callers
+    see only the sampled count, never the overlap itself.  ``rng`` is the
+    tester's apparatus stream; the boxes' shared mode decides how it is drawn.
     """
     overlap = hidden_choi_overlap(box_m, box_n, outcome)
     p0 = (1.0 + overlap**2) / 2.0
-    if per_trial:
-        return int((rng.random(copies) < p0).sum())
-    return int(rng.binomial(copies, p0))
+    return _bernoulli_count(copies, p0, rng, shared_sampling(box_m, box_n))

@@ -1,15 +1,17 @@
 """Command-line front end: file formats, fixtures, test runs, JSON reports.
 
 Measurement files are JSON with complex entries as [re, im] pairs in
-row-major order.  Reports are canonical JSON (sorted keys, two-space indent)
-so a parse/emit round trip is byte-identical.  Exit codes: 0 accept/success,
-1 reject/violation, 2 error.
+row-major order.  Reports are canonical, strict JSON (sorted keys, two-space
+indent, non-finite numbers written as null) so a parse/emit round trip is
+byte-identical.  Exit codes: 0 accept/success, 1 reject/violation, 2 error;
+any exception a command raises is an error, reported as ``"error"``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import struct
 import sys
@@ -142,8 +144,8 @@ def _jsonable(obj):
         ]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -151,16 +153,7 @@ def _jsonable(obj):
 
 def emit_report(report: dict) -> str:
     """Canonical serialization; parse->emit of the result is byte-identical."""
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-
-
-def _base_report(args, seed, started) -> dict:
-    return {
-        "command": " ".join(args),
-        "seed": seed,
-        "wall_time": round(time.monotonic() - started, 6),
-        "library_version": __version__,
-    }
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _default_seed(value) -> int:
@@ -184,127 +177,98 @@ def _verdict_payload(v: testers.Verdict) -> dict:
 # commands
 
 
-def cmd_validate(ns, argv, started) -> int:
-    report = _base_report(argv, None, started)
+def cmd_validate(ns, report) -> int:
     try:
         meas, d, n, meta = load_measurement(ns.path, ns.tol)
     except CompletenessViolation as exc:
         report["error"] = f"CompletenessViolation: {exc}"
-        print(emit_report(report), end="")
         return 1
-    except (FileFormatError, DimensionMismatch, QmtestError, ValueError) as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        print(emit_report(report), end="")
-        return 2
     report["params"] = {"d": d, "n": n, "outcomes": len(meas), "tol": ns.tol}
     report["completeness_residual"] = meas.completeness_residual
     report["metadata"] = meta
-    print(emit_report(report), end="")
     return 0
 
 
-def cmd_distance(ns, argv, started) -> int:
-    report = _base_report(argv, None, started)
-    try:
-        M, _, _, _ = load_measurement(ns.path_a)
-        N, _, _, _ = load_measurement(ns.path_b)
-        exact = metric.delta_measurement(M, N)
-        numeric = metric.delta_measurement_numeric(M, N)
-    except (FileFormatError, QmtestError, ValueError) as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        print(emit_report(report), end="")
-        return 2
+def cmd_distance(ns, report) -> int:
+    M, _, _, _ = load_measurement(ns.path_a)
+    N, _, _, _ = load_measurement(ns.path_b)
+    exact = metric.delta_measurement(M, N)
+    numeric = metric.delta_measurement_numeric(M, N)
     report["estimate"] = {
         "delta": exact.delta,
         "delta_squared": exact.delta_squared,
         "numeric_inf_delta": numeric.delta,
         "cross_check_gap": abs(exact.delta - numeric.delta),
     }
-    print(emit_report(report), end="")
     return 0
 
 
 def _config_from_flags(ns, seed) -> testers.TesterConfig:
-    return testers.TesterConfig(
-        epsilon=ns.epsilon,
-        seed=seed,
-        sampling="aggregate" if ns.mode == "aggregate" else "per_trial",
-        constant_scale=ns.scale,
-    )
+    return testers.TesterConfig(epsilon=ns.epsilon, seed=seed, constant_scale=ns.scale)
 
 
-def cmd_test(ns, argv, started) -> int:
-    seed = _default_seed(ns.seed)
-    report = _base_report(argv, seed, started)
-    try:
-        meas, d, n, _ = load_measurement(ns.path)
-        cfg = _config_from_flags(ns, seed)
-        box = BlackBox(meas, seed=seed, d=d)
-        if ns.property == "stabilizer":
-            verdict = testers.test_stabilizer(box, cfg)
-        elif ns.property == "klocal":
-            if ns.k is None:
-                raise ValueError("klocal test needs --k")
-            verdict = testers.test_klocal(box, ns.k, cfg)
-        elif ns.property == "perminv":
-            if ns.schur_cache and Path(ns.schur_cache).exists():
-                basis = load_schur_cache(ns.schur_cache)
-                if (basis.d, basis.n) != (d, n):
-                    raise FileFormatError("cached transform is for different (d, n)")
-            else:
-                basis = schur.build_schur_transform(d, n)
-                if ns.schur_cache:
-                    save_schur_cache(basis, ns.schur_cache)
-            verdict = testers.test_perminv(box, basis, cfg)
-        elif ns.property == "finite-set":
-            if not ns.set:
-                raise ValueError("finite-set test needs at least one --set member")
-            members = testers.FiniteSetSpec.from_members(
-                [load_measurement(p)[0] for p in ns.set]
-            )
-            verdict = testers.test_finite_set(box, members, cfg)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown property {ns.property}")
-    except (FileFormatError, QmtestError, ValueError) as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        print(emit_report(report), end="")
-        return 2
+def _sampling(ns) -> str:
+    """The box's sampling mode named by ``--mode``."""
+    return ns.mode.replace("-", "_")
+
+
+def cmd_test(ns, report) -> int:
+    seed = report["seed"] = _default_seed(ns.seed)
+    meas, d, n, _ = load_measurement(ns.path)
+    cfg = _config_from_flags(ns, seed)
+    box = BlackBox(meas, seed=seed, d=d, sampling=_sampling(ns))
+    if ns.property == "stabilizer":
+        verdict = testers.test_stabilizer(box, cfg)
+    elif ns.property == "klocal":
+        if ns.k is None:
+            raise ValueError("klocal test needs --k")
+        verdict = testers.test_klocal(box, ns.k, cfg)
+    elif ns.property == "perminv":
+        if ns.schur_cache and Path(ns.schur_cache).exists():
+            basis = load_schur_cache(ns.schur_cache)
+            if (basis.d, basis.n) != (d, n):
+                raise FileFormatError("cached transform is for different (d, n)")
+        else:
+            basis = schur.build_schur_transform(d, n)
+            if ns.schur_cache:
+                save_schur_cache(basis, ns.schur_cache)
+        verdict = testers.test_perminv(box, basis, cfg)
+    elif ns.property == "finite-set":
+        if not ns.set:
+            raise ValueError("finite-set test needs at least one --set member")
+        members = testers.FiniteSetSpec.from_members(
+            [load_measurement(p)[0] for p in ns.set]
+        )
+        verdict = testers.test_finite_set(box, members, cfg)
+    else:  # pragma: no cover - argparse restricts choices
+        raise ValueError(f"unknown property {ns.property}")
     report["verdict"] = _verdict_payload(verdict)
-    print(emit_report(report), end="")
     return 0 if verdict.accepted else 1
 
 
-def cmd_estimate(ns, argv, started) -> int:
-    seed = _default_seed(ns.seed)
-    report = _base_report(argv, seed, started)
-    try:
-        M, _, _, _ = load_measurement(ns.path_a)
-        N, _, _, _ = load_measurement(ns.path_b)
-        if M.dim != N.dim:
-            raise DimensionMismatch("measurements live on different dimensions")
-        k = ns.k if ns.k is not None else max(len(M), len(N))
-        cfg = _config_from_flags(ns, seed)
-        box_m = BlackBox(M, seed=seed)
-        box_n = BlackBox(N, seed=seed + 1)
-        if ns.identity:
-            verdict = testers.test_identity(box_m, box_n, k, cfg)
-            report["verdict"] = _verdict_payload(verdict)
-            report["verdict"]["meaning"] = "accept=same, reject=different"
-            print(emit_report(report), end="")
-            return 0 if verdict.accepted else 1
-        est = testers.estimate_distance(box_m, box_n, k, cfg)
-        exact = metric.delta_measurement(M, N)
-        report["estimate"] = {
-            "delta_hat": est.delta_hat,
-            "exact_delta": exact.delta,
-            "query_count": est.query_count,
-            "params": est.params,
-        }
-    except (FileFormatError, QmtestError, ValueError) as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        print(emit_report(report), end="")
-        return 2
-    print(emit_report(report), end="")
+def cmd_estimate(ns, report) -> int:
+    seed = report["seed"] = _default_seed(ns.seed)
+    M, _, _, _ = load_measurement(ns.path_a)
+    N, _, _, _ = load_measurement(ns.path_b)
+    if M.dim != N.dim:
+        raise DimensionMismatch("measurements live on different dimensions")
+    k = ns.k if ns.k is not None else max(len(M), len(N))
+    cfg = _config_from_flags(ns, seed)
+    box_m = BlackBox(M, seed=seed, sampling=_sampling(ns))
+    box_n = BlackBox(N, seed=seed + 1, sampling=_sampling(ns))
+    if ns.identity:
+        verdict = testers.test_identity(box_m, box_n, k, cfg)
+        report["verdict"] = _verdict_payload(verdict)
+        report["verdict"]["meaning"] = "accept=same, reject=different"
+        return 0 if verdict.accepted else 1
+    est = testers.estimate_distance(box_m, box_n, k, cfg)
+    exact = metric.delta_measurement(M, N)
+    report["estimate"] = {
+        "delta_hat": est.delta_hat,
+        "exact_delta": exact.delta,
+        "query_count": est.query_count,
+        "params": est.params,
+    }
     return 0
 
 
@@ -324,87 +288,74 @@ def make_far_projective_fixture(n: int, seed: int = 3):
     return meas, scan
 
 
-def cmd_fixtures(ns, argv, started) -> int:
-    report = _base_report(argv, ns.seed, started)
+def cmd_fixtures(ns, report) -> int:
+    report["seed"] = ns.seed
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     n, d = ns.n, ns.d
     written = []
-    try:
-        if ns.kind == "stabilizer":
-            for idx in range(1, 4**n):
-                label = pauli.label_from_index(idx, 2, n)
-                meas = pauli.stabilizer_measurement(label.x, label.z)
-                name = f"stabilizer_n{n}_x{''.join(map(str, label.x))}_z{''.join(map(str, label.z))}.json"
-                save_measurement(out_dir / name, meas, 2, n,
-                                 {"kind": "stabilizer", "x": label.x, "z": label.z})
-                written.append(name)
-        elif ns.kind == "far-stabilizer":
-            meas, scan = make_far_projective_fixture(n, ns.seed)
-            name = f"far_stabilizer_n{n}_seed{ns.seed}.json"
-            save_measurement(out_dir / name, meas, 2, n, {
-                "kind": "far-stabilizer",
-                "certified_delta": scan.best_delta,
-                "nearest_label": scan.best_label,
-                "swapped_pairing_delta": scan.swapped_delta,
-            })
-            written.append(name)
-        elif ns.kind == "klocal":
-            eye_rest = np.eye(2 ** (n - 1))
-            ops = [np.kron(np.diag([1.0, 0.0]).astype(complex), eye_rest),
-                   np.kron(np.diag([0.0, 1.0]).astype(complex), eye_rest)]
-            meas = validate_measurement(ops)
-            name = f"local1_n{n}.json"
+    if ns.kind == "stabilizer":
+        for idx in range(1, 4**n):
+            label = pauli.label_from_index(idx, 2, n)
+            meas = pauli.stabilizer_measurement(label.x, label.z)
+            name = f"stabilizer_n{n}_x{''.join(map(str, label.x))}_z{''.join(map(str, label.z))}.json"
             save_measurement(out_dir / name, meas, 2, n,
-                             {"kind": "klocal", "support": {1}})
+                             {"kind": "stabilizer", "x": label.x, "z": label.z})
             written.append(name)
-        elif ns.kind == "perminv":
-            basis = schur.build_schur_transform(d, n)
-            meas = schur.isotypic_projectors(basis)
-            name = f"isotypic_d{d}_n{n}.json"
-            save_measurement(out_dir / name, meas, d, n,
-                             {"kind": "perminv", "blocks": list(basis.shapes)})
-            written.append(name)
-        elif ns.kind == "compbasis":
-            D = d**n
-            ops = [np.diag((np.arange(D) == i).astype(complex)) for i in range(D)]
-            meas = validate_measurement(ops)
-            name = f"compbasis_d{d}_n{n}.json"
-            save_measurement(out_dir / name, meas, d, n, {"kind": "compbasis"})
-            written.append(name)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown fixture kind {ns.kind}")
-    except (QmtestError, ValueError) as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        print(emit_report(report), end="")
-        return 2
+    elif ns.kind == "far-stabilizer":
+        meas, scan = make_far_projective_fixture(n, ns.seed)
+        name = f"far_stabilizer_n{n}_seed{ns.seed}.json"
+        save_measurement(out_dir / name, meas, 2, n, {
+            "kind": "far-stabilizer",
+            "certified_delta": scan.best_delta,
+            "nearest_label": scan.best_label,
+            "swapped_pairing_delta": scan.swapped_delta,
+        })
+        written.append(name)
+    elif ns.kind == "klocal":
+        eye_rest = np.eye(2 ** (n - 1))
+        ops = [np.kron(np.diag([1.0, 0.0]).astype(complex), eye_rest),
+               np.kron(np.diag([0.0, 1.0]).astype(complex), eye_rest)]
+        meas = validate_measurement(ops)
+        name = f"local1_n{n}.json"
+        save_measurement(out_dir / name, meas, 2, n,
+                         {"kind": "klocal", "support": {1}})
+        written.append(name)
+    elif ns.kind == "perminv":
+        basis = schur.build_schur_transform(d, n)
+        meas = schur.isotypic_projectors(basis)
+        name = f"isotypic_d{d}_n{n}.json"
+        save_measurement(out_dir / name, meas, d, n,
+                         {"kind": "perminv", "blocks": list(basis.shapes)})
+        written.append(name)
+    elif ns.kind == "compbasis":
+        D = d**n
+        ops = [np.diag((np.arange(D) == i).astype(complex)) for i in range(D)]
+        meas = validate_measurement(ops)
+        name = f"compbasis_d{d}_n{n}.json"
+        save_measurement(out_dir / name, meas, d, n, {"kind": "compbasis"})
+        written.append(name)
+    else:  # pragma: no cover
+        raise ValueError(f"unknown fixture kind {ns.kind}")
     report["written"] = written
     report["out_dir"] = str(out_dir)
-    print(emit_report(report), end="")
     return 0
 
 
-def cmd_schur(ns, argv, started) -> int:
-    report = _base_report(argv, None, started)
-    try:
-        if ns.d**ns.n > schur.MAX_DIM or ns.n > schur.MAX_SITES:
-            raise ValueError(
-                f"d^n={ns.d ** ns.n} exceeds the cap {schur.MAX_DIM} (n <= {schur.MAX_SITES})"
-            )
-        basis = schur.build_schur_transform(ns.d, ns.n)
-        residuals = schur.verify_schur_basis(basis)
-        save_schur_cache(basis, ns.out)
-    except (QmtestError, ValueError) as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        print(emit_report(report), end="")
-        return 2
+def cmd_schur(ns, report) -> int:
+    if ns.d**ns.n > schur.MAX_DIM or ns.n > schur.MAX_SITES:
+        raise ValueError(
+            f"d^n={ns.d ** ns.n} exceeds the cap {schur.MAX_DIM} (n <= {schur.MAX_SITES})"
+        )
+    basis = schur.build_schur_transform(ns.d, ns.n)
+    residuals = schur.verify_schur_basis(basis)
+    save_schur_cache(basis, ns.out)
     report["params"] = {"d": ns.d, "n": ns.n, "out": str(ns.out)}
     report["residuals"] = residuals
     report["blocks"] = {
         str(shape): {"w": basis.blocks[shape][1], "v": basis.blocks[shape][2]}
         for shape in basis.shapes
     }
-    print(emit_report(report), end="")
     return 0
 
 
@@ -475,10 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     started = time.monotonic()
-    return ns.func(ns, ["qmtest"] + argv, started)
+    report = {"command": " ".join(["qmtest"] + argv), "seed": None,
+              "library_version": __version__}
+    try:
+        code = ns.func(ns, report)
+    except Exception as exc:  # any failure is an error (exit 2), never a verdict
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        code = 2
+    report["wall_time"] = round(time.monotonic() - started, 6)
+    print(emit_report(report), end="")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

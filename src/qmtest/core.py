@@ -110,11 +110,6 @@ def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurem
     return Measurement(operators=tuple(frozen), completeness_residual=residual)
 
 
-def measurement_from_ops(ops) -> Measurement:
-    """validate_measurement with the default tolerance (fixture convenience)."""
-    return validate_measurement(ops)
-
-
 def apply_measurement(meas: Measurement, state):
     """Outcome distribution and post-measurement states.
 

@@ -7,6 +7,11 @@ post-states) is drawn from the box's stream; tester-apparatus randomness
 (swap tests, the final projective check of the finite-set test) is drawn
 from streams derived from the config seed, so verdicts are reproducible
 given (seed, config).
+
+The testers never see the sampling mode: every draw is a ``BlackBox``
+sampling method (or ``blackbox.paired_swap_zeros``), and the box decides
+whether it is drawn in aggregate or per trial.  Each report still records
+the box's mode as ``params["sampling"]``.
 """
 
 from __future__ import annotations
@@ -17,10 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metric, pauli, schur
-from .blackbox import BlackBox, paired_swap_zeros
+from .blackbox import BlackBox, paired_swap_zeros, shared_sampling
 from .core import DimensionMismatch, Measurement, QmtestError, choi_prob, hs_inner
-
-SAMPLING_MODES = ("aggregate", "per_trial")
 
 
 class DimensionNotPowerOfTwo(DimensionMismatch):
@@ -35,14 +38,11 @@ class GramIllConditioned(QmtestError):
 class TesterConfig:
     epsilon: float
     seed: int = 0
-    sampling: str = "aggregate"
     constant_scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         if self.constant_scale <= 0:
             raise ValueError("constant_scale must be positive")
 
@@ -136,14 +136,11 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
     consts = stabilizer_constants(cfg.epsilon, cfg.constant_scale)
     L, T, W = consts["L"], consts["T"], consts["W"]
     lo, hi = 0.5 - consts["half_window"], 0.5 + consts["half_window"]
-    params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": cfg.sampling,
+    params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": box.sampling,
               "constant_scale": cfg.constant_scale, **consts}
     stats: dict = {}
 
-    if cfg.sampling == "aggregate":
-        counts = box.sample_outcome_counts(L)
-    else:
-        counts = np.bincount(box.query_batch(L), minlength=box.num_outcomes)
+    counts = box.sample_outcome_counts(L)
     stats["outcome_counts"] = counts.tolist()
     if counts[2:].sum() > 0:
         return Verdict("reject", "outcome_support", box.query_count, stats, params)
@@ -152,13 +149,7 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
     if not lo <= frac1 <= hi:
         return Verdict("reject", "outcome_fraction", box.query_count, stats, params)
 
-    label_counts = []
-    for branch in (0, 1):
-        if cfg.sampling == "aggregate":
-            label_counts.append(box.sample_label_counts(branch, T))
-        else:
-            drawn = box.label_batch(branch, T)
-            label_counts.append(np.bincount(drawn, minlength=4**n))
+    label_counts = [box.sample_label_counts(branch, T) for branch in (0, 1)]
     observed = set(np.nonzero(label_counts[0])[0]) | set(np.nonzero(label_counts[1])[0])
     extra = sorted(observed - {0})
     stats["labels_observed"] = len(observed)
@@ -173,12 +164,7 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
         return Verdict("reject", "pauli_fraction", box.query_count, stats, params)
 
     fail_probs = (1.0 - box.sign_plus_prob(0, ab), box.sign_plus_prob(1, ab))
-    failures = []
-    for p_fail in fail_probs:
-        if cfg.sampling == "aggregate":
-            failures.append(int(box.rng.binomial(W, p_fail)))
-        else:
-            failures.append(int((box.rng.random(W) < p_fail).sum()))
+    failures = [box.sample_failure_count(W, p_fail) for p_fail in fail_probs]
     stats["sign_failures"] = failures
     if failures[0] > 0 or failures[1] > 0:
         return Verdict("reject", "sign_check", box.query_count, stats, params)
@@ -202,16 +188,9 @@ def test_klocal(box: BlackBox, k: int, cfg: TesterConfig) -> Verdict:
     consts = klocal_constants(cfg.epsilon, k, cfg.constant_scale)
     L = consts["L"]
     params = {"epsilon": cfg.epsilon, "k": k, "seed": cfg.seed,
-              "sampling": cfg.sampling, "constant_scale": cfg.constant_scale, **consts}
+              "sampling": box.sampling, "constant_scale": cfg.constant_scale, **consts}
 
-    if cfg.sampling == "aggregate":
-        label_counts = box.sample_joint_label_counts(L)
-    else:
-        outcomes = box.query_batch(L)
-        label_counts = np.zeros(d ** (2 * n), dtype=np.int64)
-        for i in np.unique(outcomes):
-            drawn = box.label_batch(int(i), int((outcomes == i).sum()))
-            label_counts += np.bincount(drawn, minlength=label_counts.size)
+    label_counts = box.sample_joint_label_counts(L)
     masks = pauli._support_masks(d, n)
     union_mask = 0
     for idx in np.nonzero(label_counts)[0]:
@@ -241,27 +220,10 @@ def test_perminv(box: BlackBox, basis: schur.SchurBasis, cfg: TesterConfig) -> V
         raise DimensionMismatch("box and basis dimensions differ")
     L = perminv_constants(cfg.epsilon, cfg.constant_scale)["L"]
     p = box.schur_pass_prob(basis)
-    params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": cfg.sampling,
+    params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": box.sampling,
               "constant_scale": cfg.constant_scale, "L": L}
-    stats = {"pass_prob": p}
-    if cfg.sampling == "per_trial":
-        for j in range(1, L + 1):
-            if not box.schur_iteration(basis):
-                stats["iterations"] = j
-                return Verdict("reject", "schur_iteration", box.query_count, stats, params)
-        stats["iterations"] = L
-        return Verdict("accept", None, box.query_count, stats, params)
-    # aggregate: draw the first failing iteration by inverse transform
-    u = box.rng.random()
-    if p <= 0.0:
-        first_failure = 1
-    elif p >= 1.0 or u <= 0.0:
-        first_failure = L + 1
-    else:
-        first_failure = 1 + math.floor(math.log(u) / math.log(p))
-    queries = min(first_failure, L)
-    box.query_count += queries
-    stats["iterations"] = queries
+    first_failure = box.sample_first_failure(basis, L)
+    stats = {"pass_prob": p, "iterations": min(first_failure, L)}
     if first_failure > L:
         return Verdict("accept", None, box.query_count, stats, params)
     return Verdict("reject", "schur_iteration", box.query_count, stats, params)
@@ -325,14 +287,11 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
     consts = finite_set_constants(cfg.epsilon, members.gamma, k, m, cfg.constant_scale)
     L, a = consts["L"], consts["a"]
     params = {"epsilon": cfg.epsilon, "gamma": members.gamma, "k": k, "m": m,
-              "seed": cfg.seed, "sampling": cfg.sampling,
+              "seed": cfg.seed, "sampling": box.sampling,
               "constant_scale": cfg.constant_scale, "L": L, "a": a}
     stats: dict = {}
 
-    if cfg.sampling == "aggregate":
-        counts = box.sample_outcome_counts(L)
-    else:
-        counts = np.bincount(box.query_batch(L), minlength=box.num_outcomes)
+    counts = box.sample_outcome_counts(L)
     stats["outcome_counts"] = counts.tolist()
     if counts[k:].sum() > 0:
         return Verdict("reject", "outcome_support", box.query_count, stats, params)
@@ -399,19 +358,6 @@ def overlap_estimate_from_counts(zeros: int, copies: int) -> float:
     return math.sqrt(max(2.0 * zeros / copies - 1.0, 0.0))
 
 
-def estimate_overlap(copies: int, overlap_true: float, rng: np.random.Generator,
-                     sampling: str = "aggregate") -> float:
-    """Swap-test overlap estimate for two states with the given true overlap."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    p0 = (1.0 + min(max(overlap_true, 0.0), 1.0) ** 2) / 2.0
-    if sampling == "aggregate":
-        zeros = int(rng.binomial(copies, p0))
-    else:
-        zeros = int((rng.random(copies) < p0).sum())
-    return overlap_estimate_from_counts(zeros, copies)
-
-
 def distance_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
     L = _scaled_count(50000 * k**5 * math.log(40 * k) / epsilon**12, scale)
     threshold = epsilon**4 / (16 * k) - epsilon**4 / (36 * k**2)
@@ -440,13 +386,11 @@ def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
     consts = distance_constants(cfg.epsilon, k, cfg.constant_scale)
     L, T, threshold = consts["L"], consts["T"], consts["threshold"]
     params = {"epsilon": cfg.epsilon, "k": k, "seed": cfg.seed,
-              "sampling": cfg.sampling, "constant_scale": cfg.constant_scale, **consts}
+              "sampling": shared_sampling(box_m, box_n),
+              "constant_scale": cfg.constant_scale, **consts}
 
     def fractions(box: BlackBox) -> np.ndarray:
-        if cfg.sampling == "aggregate":
-            counts = box.sample_outcome_counts(L)
-        else:
-            counts = np.bincount(box.query_batch(L), minlength=box.num_outcomes)
+        counts = box.sample_outcome_counts(L)
         return np.pad(counts, (0, max(0, k - counts.size))) / L
 
     a = fractions(box_m)
@@ -458,9 +402,7 @@ def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
     lambdas = {}
     total = 0.0
     for i in shared:
-        zeros = paired_swap_zeros(
-            box_m, box_n, i, T, rng, per_trial=cfg.sampling == "per_trial"
-        )
+        zeros = paired_swap_zeros(box_m, box_n, i, T, rng)
         lam = overlap_estimate_from_counts(zeros, T)
         lambdas[i] = lam
         total += math.sqrt(a[i] * b[i]) * lam

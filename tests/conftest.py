@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qmtest import core, pauli
+from qmtest.blackbox import BlackBox
 
 
 @pytest.fixture
@@ -29,3 +32,14 @@ def stab_pair_1q():
         pauli.stabilizer_measurement((1,), (0,)),
         pauli.stabilizer_measurement((1,), (1,)),
     )
+
+
+def overlap_boxes(overlap: float, sampling: str):
+    """Two one-outcome boxes whose outcome-0 post-states have the given overlap.
+
+    The identity against diag(e^{it}, e^{-it}) has overlap |cos t|.
+    """
+    t = math.acos(overlap)
+    U = np.diag([np.exp(1j * t), np.exp(-1j * t)])
+    return (BlackBox(core.validate_measurement([np.eye(2)]), seed=0, sampling=sampling),
+            BlackBox(core.validate_measurement([U]), seed=1, sampling=sampling))

@@ -93,7 +93,7 @@ def test_c04_stabilizer_tester():
     far, scan = make_far_projective_fixture(2, seed=3)
     assert scan.best_delta >= 0.4, "fixture certificate regressed"
     four = comp_basis_measurement(4)
-    cfg = testers.TesterConfig(epsilon=0.4, seed=0, sampling="aggregate")
+    cfg = testers.TesterConfig(epsilon=0.4, seed=0)
     stab_accepts = sum(
         testers.test_stabilizer(BlackBox(stab, seed=s, d=2), cfg).accepted
         for s in range(40)
@@ -119,7 +119,7 @@ def test_c05_klocal_tester():
     full = pauli.stabilizer_measurement((1, 1, 1), (0, 0, 0))
     bound = metric.klocal_distance_lower_bound(full, 1)
     assert bound >= 0.541, "certificate regressed"
-    cfg = testers.TesterConfig(epsilon=0.4, seed=0, sampling="aggregate")
+    cfg = testers.TesterConfig(epsilon=0.4, seed=0)
     local_accepts = sum(
         testers.test_klocal(BlackBox(local, seed=s, d=2), 1, cfg).accepted
         for s in range(40)
@@ -139,7 +139,7 @@ def test_c06_perminv_tester():
     basis = schur.build_schur_transform(2, 2)
     iso = schur.isotypic_projectors(basis)
     comp = comp_basis_measurement(4)
-    cfg = testers.TesterConfig(epsilon=0.5, seed=0, sampling="aggregate")
+    cfg = testers.TesterConfig(epsilon=0.5, seed=0)
     iso_accepts = sum(
         testers.test_perminv(BlackBox(iso, seed=s, d=2), basis, cfg).accepted
         for s in range(400)
@@ -168,7 +168,7 @@ def test_c07_finite_set_tester():
         metric.delta_measurement(far, m).delta for m in members.members
     )
     assert far_distance >= 0.5, "far fixture certificate regressed"
-    cfg = testers.TesterConfig(epsilon=0.5, seed=0, sampling="aggregate")
+    cfg = testers.TesterConfig(epsilon=0.5, seed=0)
     member_accepts = sum(
         testers.test_finite_set(BlackBox(members.members[0], seed=s), members, cfg).accepted
         for s in range(40)
@@ -191,7 +191,7 @@ def test_c08_distance_estimator():
     good_pair = 0
     good_same = 0
     for s in range(25):
-        cfg = testers.TesterConfig(epsilon=0.6, seed=s, sampling="aggregate")
+        cfg = testers.TesterConfig(epsilon=0.6, seed=s)
         rep = testers.estimate_distance(
             BlackBox(P, seed=2 * s), BlackBox(Q, seed=2 * s + 1), 2, cfg
         )
@@ -411,9 +411,9 @@ def test_c11_sampling_mode_equivalence():
 
     stab = pauli.stabilizer_measurement((1, 0), (0, 1))
     for mode in ("aggregate", "per_trial"):
-        cfg = testers.TesterConfig(epsilon=0.4, seed=0, sampling=mode, constant_scale=0.01)
+        cfg = testers.TesterConfig(epsilon=0.4, seed=0, constant_scale=0.01)
         freqs[("stabilizer", mode)] = sum(
-            testers.test_stabilizer(BlackBox(stab, seed=s, d=2), cfg).accepted
+            testers.test_stabilizer(BlackBox(stab, seed=s, d=2, sampling=mode), cfg).accepted
             for s in range(runs)
         ) / runs
 
@@ -424,9 +424,10 @@ def test_c11_sampling_mode_equivalence():
         [V @ op @ V.conj().T for op in one_local_measurement(2).operators]
     )
     for mode in ("aggregate", "per_trial"):
-        cfg = testers.TesterConfig(epsilon=0.4, seed=0, sampling=mode, constant_scale=0.01)
+        cfg = testers.TesterConfig(epsilon=0.4, seed=0, constant_scale=0.01)
         freqs[("klocal", mode)] = sum(
-            testers.test_klocal(BlackBox(nearly_local, seed=s, d=2), 1, cfg).accepted
+            testers.test_klocal(BlackBox(nearly_local, seed=s, d=2, sampling=mode), 1,
+                                cfg).accepted
             for s in range(runs)
         ) / runs
 
@@ -435,9 +436,10 @@ def test_c11_sampling_mode_equivalence():
     for mode in ("aggregate", "per_trial"):
         # epsilon 0.2 keeps the scaled iteration count above one, so the two
         # modes traverse genuinely different sampling paths
-        cfg = testers.TesterConfig(epsilon=0.2, seed=0, sampling=mode, constant_scale=0.01)
+        cfg = testers.TesterConfig(epsilon=0.2, seed=0, constant_scale=0.01)
         freqs[("perminv", mode)] = sum(
-            testers.test_perminv(BlackBox(comp, seed=s, d=2), basis, cfg).accepted
+            testers.test_perminv(BlackBox(comp, seed=s, d=2, sampling=mode), basis,
+                                 cfg).accepted
             for s in range(runs)
         ) / runs
 

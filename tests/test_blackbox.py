@@ -6,7 +6,7 @@ from scipy import stats
 
 from qmtest import blackbox, core, pauli, schur
 
-from conftest import comp_basis_measurement
+from conftest import comp_basis_measurement, overlap_boxes
 
 
 class TestChernoffSamples:
@@ -23,31 +23,50 @@ class TestChernoffSamples:
         assert base * 3 <= finer <= base * 4 + 4
 
 
+def swap_zero_fraction(overlap: float, copies: int, sampling: str, seed: int) -> float:
+    box_m, box_n = overlap_boxes(overlap, sampling)
+    assert blackbox.hidden_choi_overlap(box_m, box_n, 0) == pytest.approx(overlap)
+    rng = np.random.default_rng(seed)
+    return blackbox.paired_swap_zeros(box_m, box_n, 0, copies, rng) / copies
+
+
 class TestSwapTest:
     def test_perfect_overlap_always_zero(self):
-        rng = np.random.default_rng(0)
-        assert all(blackbox.swap_test_sample(1.0, rng) == 0 for _ in range(200))
+        for mode in blackbox.SAMPLING_MODES:
+            assert swap_zero_fraction(1.0, 200, mode, seed=0) == 1.0
 
     def test_zero_overlap_is_fair_coin(self):
-        rng = np.random.default_rng(1)
-        draws = [blackbox.swap_test_sample(0.0, rng) for _ in range(20_000)]
-        frac0 = draws.count(0) / len(draws)
-        assert abs(frac0 - 0.5) < 3 * math.sqrt(0.25 / len(draws))
+        n = 20_000
+        for mode in blackbox.SAMPLING_MODES:
+            frac0 = swap_zero_fraction(0.0, n, mode, seed=1)
+            assert abs(frac0 - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_intermediate_overlap(self):
-        rng = np.random.default_rng(2)
         n = 40_000
-        zeros = sum(blackbox.swap_test_sample(0.6, rng) == 0 for _ in range(n))
-        assert abs(zeros / n - 0.68) < 3 * math.sqrt(0.68 * 0.32 / n)
+        for mode in blackbox.SAMPLING_MODES:
+            frac0 = swap_zero_fraction(0.6, n, mode, seed=2)
+            assert abs(frac0 - 0.68) < 3 * math.sqrt(0.68 * 0.32 / n)
 
     def test_aggregate_count_matches(self):
-        rng = np.random.default_rng(3)
-        zeros = blackbox.swap_test_zero_count(50_000, 0.6, rng)
-        assert abs(zeros / 50_000 - 0.68) < 3 * math.sqrt(0.68 * 0.32 / 50_000)
+        # (1 + 0.6^2)/2 = 0.68 in both modes, from the same seed
+        n = 50_000
+        fracs = [swap_zero_fraction(0.6, n, mode, seed=3) for mode in blackbox.SAMPLING_MODES]
+        for frac0 in fracs:
+            assert abs(frac0 - 0.68) < 3 * math.sqrt(0.68 * 0.32 / n)
 
     def test_rejects_bad_overlap(self):
+        # the overlap is undefined for a vanishing operator, and two boxes
+        # queried side by side must share one sampling mode
+        m = comp_basis_measurement(2)
+        padded = core.Measurement(operators=m.operators + (np.zeros((2, 2)),),
+                                  completeness_residual=m.completeness_residual)
+        box = blackbox.BlackBox(padded, seed=0)
+        with pytest.raises(core.ZeroOperator):
+            blackbox.paired_swap_zeros(box, box, 2, 10, np.random.default_rng(0))
+        box_m, _ = overlap_boxes(0.5, "aggregate")
+        _, box_n = overlap_boxes(0.5, "per_trial")
         with pytest.raises(ValueError):
-            blackbox.swap_test_sample(1.5, np.random.default_rng(0))
+            blackbox.paired_swap_zeros(box_m, box_n, 0, 10, np.random.default_rng(0))
 
 
 class TestAggregateMultinomial:
@@ -85,10 +104,11 @@ class TestAggregateMultinomial:
 
 class TestChoiQueries:
     def test_trivial_box_always_first_outcome(self):
-        box = blackbox.BlackBox(core.validate_measurement([np.eye(3)]), seed=0)
-        for _ in range(50):
-            assert box.query_on_choi().outcome == 0
-        assert box.query_count == 50
+        for mode in blackbox.SAMPLING_MODES:
+            box = blackbox.BlackBox(core.validate_measurement([np.eye(3)]), seed=0,
+                                    sampling=mode)
+            np.testing.assert_array_equal(box.sample_outcome_counts(50), [50])
+            assert box.query_count == 50
 
     def test_stabilizer_box_balanced(self):
         meas = pauli.stabilizer_measurement((1, 0), (0, 1))
@@ -110,14 +130,6 @@ class TestChoiQueries:
         assert counts.sum() == 1000
         assert box.query_count == 1000
 
-    def test_post_state_reference(self):
-        meas = pauli.stabilizer_measurement((1,), (0,))
-        box = blackbox.BlackBox(meas, seed=3, d=2)
-        sample = box.query_on_choi()
-        post = sample.post_state()
-        expected = core.normalized_choi(meas.operators[sample.outcome])
-        np.testing.assert_allclose(post, expected)
-
 
 class TestPauliBasisMeasurement:
     def test_projector_labels(self):
@@ -131,10 +143,11 @@ class TestPauliBasisMeasurement:
 
     def test_unitary_label_point_mass(self):
         meas = core.validate_measurement([pauli.pauli_matrix(pauli.PauliLabel((1,), (0,)))])
-        box = blackbox.BlackBox(meas, seed=5, d=2)
-        sample = box.query_on_choi()
-        label = box.measure_choi_pauli_basis(sample)
-        assert (label.x, label.z) == ((1,), (0,))
+        idx = pauli.PauliLabel((1,), (0,)).index()
+        for mode in blackbox.SAMPLING_MODES:
+            box = blackbox.BlackBox(meas, seed=5, d=2, sampling=mode)
+            assert np.flatnonzero(box.sample_label_counts(0, 40)).tolist() == [idx]
+            assert np.flatnonzero(box.sample_joint_label_counts(40)).tolist() == [idx]
 
     def test_joint_law_of_total_probability(self):
         rng = np.random.default_rng(11)
@@ -168,8 +181,11 @@ class TestSignMeasurement:
         box = blackbox.BlackBox(meas, seed=6, d=2)
         assert box.sign_plus_prob(0, label) == pytest.approx(1.0)
         assert box.sign_plus_prob(1, label) == pytest.approx(0.0)
-        sample = blackbox.ChoiSample(outcome=0, _box=box)
-        assert all(box.measure_stabilizer_sign(sample, label) == 1 for _ in range(50))
+        for mode in blackbox.SAMPLING_MODES:
+            box = blackbox.BlackBox(meas, seed=6, d=2, sampling=mode)
+            assert box.sample_failure_count(50, 1.0 - box.sign_plus_prob(0, label)) == 0
+            assert box.sample_failure_count(50, box.sign_plus_prob(1, label)) == 0
+            assert box.sample_failure_count(50, 1.0) == 50
 
     def test_uniform_operator_coin(self):
         meas = core.validate_measurement([np.eye(2) / math.sqrt(2), np.eye(2) / math.sqrt(2)])
@@ -217,12 +233,12 @@ class TestHiddenOverlap:
 
     def test_paired_swap_zeros_statistics(self):
         # overlap 1/2 gives zero-outcome probability (1 + 1/4)/2 = 0.625
-        a = blackbox.BlackBox(pauli.stabilizer_measurement((0,), (1,)), seed=0)
-        b = blackbox.BlackBox(pauli.stabilizer_measurement((1,), (0,)), seed=0)
         rng = np.random.default_rng(21)
         copies = 100_000
-        for per_trial in (False, True):
-            zeros = blackbox.paired_swap_zeros(a, b, 0, copies, rng, per_trial)
+        for mode in blackbox.SAMPLING_MODES:
+            a = blackbox.BlackBox(pauli.stabilizer_measurement((0,), (1,)), seed=0, sampling=mode)
+            b = blackbox.BlackBox(pauli.stabilizer_measurement((1,), (0,)), seed=0, sampling=mode)
+            zeros = blackbox.paired_swap_zeros(a, b, 0, copies, rng)
             assert abs(zeros / copies - 0.625) < 3 * math.sqrt(0.625 * 0.375 / copies)
 
     def test_identical(self):
@@ -240,3 +256,66 @@ class TestHiddenOverlap:
         a = blackbox.BlackBox(padded, seed=0)
         with pytest.raises(core.ZeroOperator):
             blackbox.hidden_choi_overlap(a, a, 2)
+
+
+class TestSamplingLayer:
+    def test_sampling_mode_checked(self):
+        with pytest.raises(ValueError):
+            blackbox.BlackBox(comp_basis_measurement(2), sampling="bulk")
+
+    def test_chunk_boundary(self):
+        # per-trial counts over 3 chunks and a remainder equal one whole-array
+        # draw from the same seed, and leave the generator in the same state
+        L = 3 * blackbox.CHUNK + 5
+        meas = comp_basis_measurement(4)
+        box = blackbox.BlackBox(meas, seed=31, d=2, sampling="per_trial")
+        sizes = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                sizes.append(args[-1])
+                return fn(*args)
+            return wrapper
+
+        box.query_batch = recorded(box.query_batch)
+        box.label_batch = recorded(box.label_batch)
+        outcomes = box.sample_outcome_counts(L)
+        labels = box.sample_label_counts(1, L)
+        failures = box.sample_failure_count(L, 0.3)
+
+        whole = blackbox.BlackBox(meas, seed=31, d=2, sampling="per_trial")
+        np.testing.assert_array_equal(outcomes, np.bincount(whole.query_batch(L), minlength=4))
+        np.testing.assert_array_equal(labels, np.bincount(whole.label_batch(1, L), minlength=16))
+        assert failures == int((whole.rng.random(L) < 0.3).sum())
+        assert box.rng.bit_generator.state == whole.rng.bit_generator.state
+        assert box.query_count == whole.query_count == L
+        assert max(sizes) == blackbox.CHUNK
+        assert sum(sizes) == 2 * L
+
+    def test_sample_budget_exceeded(self):
+        too_many = 2**63
+        for mode in blackbox.SAMPLING_MODES:
+            box = blackbox.BlackBox(comp_basis_measurement(4), seed=0, d=2, sampling=mode)
+            state = box.rng.bit_generator.state
+            for draw in (lambda: box.sample_outcome_counts(too_many),
+                         lambda: box.sample_label_counts(0, too_many),
+                         lambda: box.sample_joint_label_counts(too_many),
+                         lambda: box.sample_failure_count(too_many, 0.5),
+                         lambda: blackbox.paired_swap_zeros(box, box, 0, too_many, box.rng)):
+                with pytest.raises(blackbox.SampleBudgetExceeded):
+                    draw()
+            assert box.rng.bit_generator.state == state
+            assert box.query_count == 0
+
+    def test_first_failure_charges_iterations_run(self):
+        basis = schur.build_schur_transform(2, 2)
+        iso = schur.isotypic_projectors(basis)
+        for mode in blackbox.SAMPLING_MODES:
+            box = blackbox.BlackBox(iso, seed=8, d=2, sampling=mode)
+            assert box.sample_first_failure(basis, 30) == 31
+            assert box.query_count == 30
+            for s in range(20):
+                box = blackbox.BlackBox(comp_basis_measurement(4), seed=s, d=2, sampling=mode)
+                first = box.sample_first_failure(basis, 5)
+                assert 1 <= first <= 6
+                assert box.query_count == min(first, 5)

@@ -1,18 +1,27 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qmtest import cli, core, pauli, schur
+from qmtest import cli, core, pauli, schur, testers
 
 from conftest import comp_basis_measurement
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_json(text: str):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
     out = capsys.readouterr().out
-    return code, json.loads(out) if out else None
+    return code, strict_json(out) if out else None
 
 
 @pytest.fixture
@@ -74,6 +83,34 @@ class TestReports:
                                 "i": np.int64(2), "s": {3, 1}})
         parsed = json.loads(text)
         assert parsed == {"arr": [0, 1, 2], "num": 1.5, "i": 2, "s": [1, 3]}
+
+    def test_non_finite_written_as_null(self):
+        text = cli.emit_report({"a": math.inf, "b": np.float64("nan"), "c": [-math.inf, 1.0]})
+        assert strict_json(text) == {"a": None, "b": None, "c": [None, 1.0]}
+
+    def test_unexpected_exception_exits_2(self, capsys, stab_file, monkeypatch):
+        def broken(box, cfg):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(testers, "test_stabilizer", broken)
+        code, report = run_cli(
+            capsys, "test", "stabilizer", str(stab_file), "--epsilon", "0.4", "--seed", "7"
+        )
+        assert code == 2
+        assert report["error"] == "RuntimeError: sampler broke"
+        assert report["seed"] == 7
+
+    def test_wall_time_covers_the_command(self, capsys, stab_file, monkeypatch):
+        def slow(box, cfg):
+            time.sleep(0.05)
+            return testers.Verdict("accept", None, 0, {}, {})
+
+        monkeypatch.setattr(testers, "test_stabilizer", slow)
+        code, report = run_cli(
+            capsys, "test", "stabilizer", str(stab_file), "--epsilon", "0.4"
+        )
+        assert code == 0
+        assert report["wall_time"] >= 0.05
 
 
 class TestValidateCommand:
@@ -184,6 +221,15 @@ class TestTestCommand:
         assert code == 0
         assert report["verdict"]["decision"] == "accept"
 
+    def test_single_member_set_is_strict_json(self, capsys, stab_file):
+        # one member has no pairwise distance: gamma is infinite, written as null
+        code, report = run_cli(
+            capsys, "test", "finite-set", str(stab_file), "--set", str(stab_file),
+            "--epsilon", "0.5", "--seed", "2",
+        )
+        assert code == 0
+        assert report["verdict"]["params"]["gamma"] is None
+
 
 class TestEstimateCommand:
     def test_identical(self, capsys, stab_file):
@@ -208,6 +254,14 @@ class TestEstimateCommand:
         )
         assert code == 1  # distinct measurements: "different"
         assert report["verdict"]["decision"] == "reject"
+
+    def test_sample_budget_exceeded(self, capsys, stab_file, stab_file_other):
+        # epsilon 0.05 asks for about 2.9e22 queries, beyond int64
+        code, report = run_cli(
+            capsys, "estimate", str(stab_file), str(stab_file_other), "--epsilon", "0.05",
+        )
+        assert code == 2
+        assert report["error"].startswith("SampleBudgetExceeded: ")
 
 
 class TestFixturesCommand:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qmtest import core, metric, pauli, schur, testers
+from qmtest import blackbox, core, metric, pauli, schur, testers
 from qmtest.blackbox import BlackBox
 from qmtest.cli import make_far_projective_fixture
 
-from conftest import comp_basis_measurement, one_local_measurement, stab_pair_1q
+from conftest import (comp_basis_measurement, one_local_measurement, overlap_boxes,
+                      stab_pair_1q)
 
 
 class TestConfigAndVerdict:
@@ -18,8 +19,11 @@ class TestConfigAndVerdict:
             testers.TesterConfig(epsilon=1.0)
 
     def test_sampling_mode_checked(self):
+        # the mode belongs to the box, not to the tester configuration
         with pytest.raises(ValueError):
-            testers.TesterConfig(epsilon=0.5, sampling="bulk")
+            BlackBox(comp_basis_measurement(2), sampling="bulk")
+        with pytest.raises(TypeError):
+            testers.TesterConfig(epsilon=0.5, sampling="aggregate")
 
     def test_verdict_stage_consistency(self):
         with pytest.raises(ValueError):
@@ -168,10 +172,10 @@ class TestStabilizerTester:
     def test_per_trial_mode_runs(self):
         # scaled-down per-trial run lands in a genuinely stochastic regime
         meas = pauli.stabilizer_measurement((1,), (0,))
-        cfg = testers.TesterConfig(epsilon=0.6, seed=0, sampling="per_trial",
-                                   constant_scale=0.05)
+        cfg = testers.TesterConfig(epsilon=0.6, seed=0, constant_scale=0.05)
         results = [
-            testers.test_stabilizer(BlackBox(meas, seed=s, d=2), cfg).accepted
+            testers.test_stabilizer(BlackBox(meas, seed=s, d=2, sampling="per_trial"),
+                                    cfg).accepted
             for s in range(50)
         ]
         assert 0 < sum(results) < 50
@@ -202,9 +206,9 @@ class TestKLocalTester:
         assert rejected >= 8
 
     def test_per_trial_matches(self):
-        cfg = testers.TesterConfig(epsilon=0.4, seed=0, sampling="per_trial",
-                                   constant_scale=0.05)
-        v = testers.test_klocal(BlackBox(one_local_measurement(3), seed=1, d=2), 1, cfg)
+        cfg = testers.TesterConfig(epsilon=0.4, seed=0, constant_scale=0.05)
+        box = BlackBox(one_local_measurement(3), seed=1, d=2, sampling="per_trial")
+        v = testers.test_klocal(box, 1, cfg)
         assert v.accepted
         assert v.query_count == v.params["L"]
 
@@ -248,8 +252,9 @@ class TestPermInvTester:
         assert abs(accepted - expect) <= 3 * sigma
 
     def test_per_trial_queries_stop_at_failure(self, basis):
-        cfg = testers.TesterConfig(epsilon=0.5, seed=0, sampling="per_trial")
-        v = testers.test_perminv(BlackBox(comp_basis_measurement(4), seed=3, d=2), basis, cfg)
+        cfg = testers.TesterConfig(epsilon=0.5, seed=0)
+        box = BlackBox(comp_basis_measurement(4), seed=3, d=2, sampling="per_trial")
+        v = testers.test_perminv(box, basis, cfg)
         if not v.accepted:
             assert v.query_count == v.stage_stats["iterations"] <= v.params["L"]
 
@@ -316,11 +321,10 @@ class TestFiniteSetTester:
         runs = 200
         freqs = []
         for mode in ("aggregate", "per_trial"):
-            cfg = testers.TesterConfig(epsilon=0.5, seed=0, sampling=mode,
-                                       constant_scale=2e-5)
+            cfg = testers.TesterConfig(epsilon=0.5, seed=0, constant_scale=2e-5)
             hits = sum(
                 testers.test_finite_set(
-                    BlackBox(members.members[0], seed=s), members, cfg
+                    BlackBox(members.members[0], seed=s, sampling=mode), members, cfg
                 ).accepted
                 for s in range(runs)
             )
@@ -330,30 +334,40 @@ class TestFiniteSetTester:
         assert abs(freqs[0] - freqs[1]) <= 3 * sigma
 
 
+def swap_overlap_estimate(overlap: float, copies: int, rng, sampling: str) -> float:
+    """Overlap estimate from swap tests on two boxes with the given overlap."""
+    box_m, box_n = overlap_boxes(overlap, sampling)
+    zeros = blackbox.paired_swap_zeros(box_m, box_n, 0, copies, rng)
+    return testers.overlap_estimate_from_counts(zeros, copies)
+
+
 class TestOverlapEstimation:
     def test_perfect_overlap(self):
         rng = np.random.default_rng(0)
-        assert testers.estimate_overlap(500, 1.0, rng) == pytest.approx(1.0)
+        for mode in blackbox.SAMPLING_MODES:
+            assert swap_overlap_estimate(1.0, 500, rng, mode) == pytest.approx(1.0)
 
     def test_zero_overlap_clamped(self):
         rng = np.random.default_rng(1)
-        est = testers.estimate_overlap(50_000, 0.0, rng)
-        assert 0.0 <= est <= 0.1
+        for mode in blackbox.SAMPLING_MODES:
+            est = swap_overlap_estimate(0.0, 50_000, rng, mode)
+            assert 0.0 <= est <= 0.1
 
     def test_precision_guarantee(self):
         # eps=0.1, delta=0.05 needs 73778 copies; check the CI empirically
         copies = testers.overlap_copies(0.1, 0.05)
         assert copies == 73_778
         rng = np.random.default_rng(2)
-        hits = sum(
-            abs(testers.estimate_overlap(copies, 0.6, rng) - 0.6) <= 0.1
-            for _ in range(200)
-        )
-        assert hits >= 190
+        for mode in blackbox.SAMPLING_MODES:
+            hits = sum(
+                abs(swap_overlap_estimate(0.6, copies, rng, mode) - 0.6) <= 0.1
+                for _ in range(200)
+            )
+            assert hits >= 190
 
     def test_per_trial_mode(self):
         rng = np.random.default_rng(3)
-        est = testers.estimate_overlap(20_000, 0.6, rng, sampling="per_trial")
+        est = swap_overlap_estimate(0.6, 20_000, rng, "per_trial")
         assert abs(est - 0.6) < 0.05
 
 
@@ -391,12 +405,12 @@ class TestDistanceEstimation:
         runs = 200
         freqs = []
         for mode in ("aggregate", "per_trial"):
-            cfg = testers.TesterConfig(epsilon=0.6, seed=0, sampling=mode,
-                                       constant_scale=1e-6)
+            cfg = testers.TesterConfig(epsilon=0.6, seed=0, constant_scale=1e-6)
             hits = sum(
                 abs(
                     testers.estimate_distance(
-                        BlackBox(ms[0], seed=s), BlackBox(ms[1], seed=s + 1000), 2, cfg
+                        BlackBox(ms[0], seed=s, sampling=mode),
+                        BlackBox(ms[1], seed=s + 1000, sampling=mode), 2, cfg
                     ).delta_hat
                     - truth
                 )
