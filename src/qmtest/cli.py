@@ -4,7 +4,8 @@ Measurement files are JSON with complex entries as [re, im] pairs in
 row-major order.  Reports are canonical, strict JSON (sorted keys, two-space
 indent, non-finite numbers written as null) so a parse/emit round trip is
 byte-identical.  Exit codes: 0 accept/success, 1 reject/violation, 2 error;
-any exception a command raises is an error, reported as ``"error"``.
+any argument error or exception a command raises is an error, reported as
+``"error"``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ SCHUR_VERSION = 1
 
 class FileFormatError(QmtestError):
     """Measurement or cache file is malformed or of an unknown version."""
+
+
+class UsageError(QmtestError):
+    """The command line does not parse."""
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +368,17 @@ def cmd_schur(ns, report) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints usage on stderr, then raises UsageError instead of exiting, so
+    an argument error reaches main's report; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmtest",
         description="Simulate and property-test finite-dimensional quantum measurements.",
     )
@@ -426,11 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ns = build_parser().parse_args(argv)
     started = time.monotonic()
     report = {"command": " ".join(["qmtest"] + argv), "seed": None,
               "library_version": __version__}
     try:
+        ns = build_parser().parse_args(argv)
         code = ns.func(ns, report)
     except Exception as exc:  # any failure is an error (exit 2), never a verdict
         report["error"] = f"{type(exc).__name__}: {exc}"

@@ -221,31 +221,31 @@ class StabilizerScan(NamedTuple):
 
 
 def distance_to_stabilizer_family(M: Measurement) -> StabilizerScan:
-    """Brute force over all nonzero-label two-outcome Pauli projector pairs.
+    """Distance to the nearest two-outcome Pauli projector pair, over all labels.
 
-    Outcomes are paired by index; the minimum under the swapped pairing
-    (M_1 against the minus projector) is reported alongside.  Ties break
-    toward the lexicographically smallest label.
+    Outcomes are paired by index: M_0 with P_+ = (I + sigma)/2, M_1 with
+    P_- = (I - sigma)/2, later outcomes with zero.  Since
+    <M_i, P_pm> = (D/2) conj(mu_0(M_i) pm mu_sigma(M_i)), one Pauli transform
+    of M_0 and of M_1 gives every nonzero label's distance at once:
+    delta^2 = 1 - (|mu_0(M_0) + mu_sigma(M_0)| + |mu_0(M_1) - mu_sigma(M_1)|)/2.
+    The minimum under the swapped pairing (M_0 against P_-) is reported
+    alongside.  Ties break toward the smallest label index within 1e-15 of
+    the minimum.
     """
     n = pauli._power_check(M.dim, 2)
     if n > 6:
         raise ValueError("brute-force scan capped at n <= 6")
-    best_label = None
-    best = math.inf
-    swapped_best = math.inf
-    for idx in range(1, 4**n):
-        label = pauli.label_from_index(idx, 2, n)
-        P = pauli.stabilizer_measurement(label.x, label.z)
-        d_id = delta_measurement(M, P).delta
-        if d_id < best - 1e-15:
-            best = d_id
-            best_label = (label.x, label.z)
-        P_swapped = Measurement(
-            operators=(P.operators[1], P.operators[0]),
-            completeness_residual=P.completeness_residual,
-        )
-        swapped_best = min(swapped_best, delta_measurement(M, P_swapped).delta)
-    return StabilizerScan(best_label=best_label, best_delta=best, swapped_delta=swapped_best)
+    mu0, mu1 = (pauli.mu_vector(M.operator(i), 2, n) for i in (0, 1))
+
+    def deltas(sign: int) -> np.ndarray:
+        overlap = np.abs(mu0[0] + sign * mu0[1:]) + np.abs(mu1[0] - sign * mu1[1:])
+        return np.sqrt(np.clip(1.0 - overlap / 2, 0.0, None))
+
+    same = deltas(1)
+    best = int(np.flatnonzero(same <= same.min() + 1e-15)[0])
+    label = pauli.label_from_index(best + 1, 2, n)
+    return StabilizerScan(best_label=(label.x, label.z), best_delta=float(same[best]),
+                          swapped_delta=float(deltas(-1).min()))
 
 
 def _psd_sqrt(A: np.ndarray) -> np.ndarray:
@@ -285,9 +285,7 @@ def klocal_distance_lower_bound(M: Measurement, k: int, d: int = 2) -> float:
     n = pauli._power_check(M.dim, d)
     if k >= n:
         return 0.0
-    xi = np.zeros(d ** (2 * n))
-    for op in M.operators:
-        xi += np.abs(pauli.mu_vector(op, d, n)) ** 2
+    xi = pauli.xi_distribution(M, d, n)
     masks = pauli._support_masks(d, n)
     best_mass = 0.0
     for T in itertools.combinations(range(n), max(k, 0)):

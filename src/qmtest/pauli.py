@@ -5,6 +5,12 @@ Site operators follow the shift-clock form sigma_{x,z} = sum_j w^{jz}|j+x><j|
 the Hermitian Y so that single-site operators are I, X, Z, Y.  Labels iterate
 in lexicographic (x, z) order throughout, which fixes every categorical
 sampler's category order.
+
+Every coefficient comes from one transform.  A D x D operator (D = d^n) is
+reshaped to a (d,)*2n tensor, and each site's (row, column) pair is
+contracted with the d^2 single-site operators, one ``tensordot`` per site;
+the inverse runs the same contraction on the coefficient tensor.  That costs
+O(n d^2 D^2) time and O(D^2) memory, with no per-label index or phase tables.
 """
 
 from __future__ import annotations
@@ -83,66 +89,54 @@ def all_labels(d: int, n: int) -> list[PauliLabel]:
     return [label_from_index(i, d, n) for i in range(d ** (2 * n))]
 
 
-@lru_cache(maxsize=32)
-def _label_table(d: int, n: int):
-    """Sparse structure of every sigma_{x,z}: row targets and phases per column.
+@lru_cache(maxsize=None)
+def _site_matrices(d: int) -> np.ndarray:
+    """(d, d, d, d) array whose [x, z] entry is the single-site sigma_{x,z}."""
+    if d == 2:
+        # exact I, Z, X and Y = i X Z: exp(i pi) would carry rounding error
+        eye, X, Z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        sites = np.array([[eye, Z], [X, 1j * X @ Z]], dtype=np.complex128)
+    else:
+        j = np.arange(d)
+        sites = np.zeros((d, d, d, d), dtype=np.complex128)
+        for x in range(d):
+            for z in range(d):
+                sites[x, z, (j + x) % d, j] = np.exp(2j * np.pi * (j * z % d) / d)
+    sites.setflags(write=False)
+    return sites
 
-    sigma has exactly one nonzero per column: entry (rows[l, c], c) equals
-    phases[l, c].  Shapes are (d^{2n}, d^n).
+
+def _contract_sites(T: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """Contract each site's axis pair of T with the first two axes of table.
+
+    T has shape (d,)*2n with axes (a_1..a_n, b_1..b_n); site s contracts
+    (a_s, b_s) against table[a, b, c, e] and the result has axes
+    (c_1..c_n, e_1..e_n).
     """
-    D = d**n
-    cols = np.arange(D)
-    digits = np.empty((n, D), dtype=np.int64)
-    v = cols.copy()
-    for s in range(n - 1, -1, -1):
-        digits[s] = v % d
-        v //= d
-    weights = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    nlabels = d ** (2 * n)
-    rows = np.empty((nlabels, D), dtype=np.int64)
-    phases = np.empty((nlabels, D), dtype=np.complex128)
-    for idx in range(nlabels):
-        x = _index_to_digits(idx // D, d, n)
-        z = _index_to_digits(idx % D, d, n)
-        shifted = (digits + np.array(x)[:, None]) % d
-        rows[idx] = weights @ shifted
-        expo = np.array(z) @ digits
-        if d == 2:
-            # qubit convention: sigma_{1,1} = Y = i * X @ Z per site; both
-            # factors are exact integer powers of -1 and i
-            ph = (-1.0) ** expo * 1j ** (sum(xi * zi for xi, zi in zip(x, z)) % 4)
-        else:
-            ph = np.exp(2j * np.pi * (expo % d) / d)
-        phases[idx] = ph
-    rows.setflags(write=False)
-    phases.setflags(write=False)
-    return rows, phases
+    for s in range(n):
+        # site s's pair sits at axes 0 and n - s; its new pair goes last
+        T = np.tensordot(T, table, axes=([0, n - s], [0, 1]))
+    return T.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
 
 
 @lru_cache(maxsize=32)
 def _support_masks(d: int, n: int) -> np.ndarray:
     """Bitmask of nontrivial sites per label (bit s set iff site s+1 in support)."""
-    D = d**n
-    masks = np.zeros(d ** (2 * n), dtype=np.int64)
-    for idx in range(d ** (2 * n)):
-        x = _index_to_digits(idx // D, d, n)
-        z = _index_to_digits(idx % D, d, n)
-        m = 0
-        for s in range(n):
-            if x[s] or z[s]:
-                m |= 1 << s
-        masks[idx] = m
+    grid = np.indices((d,) * (2 * n), sparse=True)
+    masks = np.zeros((d,) * (2 * n), dtype=np.int64)
+    for s in range(n):
+        masks |= ((grid[s] != 0) | (grid[n + s] != 0)).astype(np.int64) << s
+    masks = masks.reshape(-1)
     masks.setflags(write=False)
     return masks
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense matrix of the tensor-product operator for ``label``."""
-    rows, phases = _label_table(label.d, label.n)
-    idx = label.index()
-    D = label.d**label.n
-    out = np.zeros((D, D), dtype=np.complex128)
-    out[rows[idx], np.arange(D)] = phases[idx]
+    sites = _site_matrices(label.d)
+    out = np.ones((1, 1), dtype=np.complex128)
+    for x, z in zip(label.x, label.z):
+        out = np.kron(out, sites[x, z])
     return out
 
 
@@ -155,14 +149,11 @@ def pauli_product_phase(ab: PauliLabel, cd: PauliLabel) -> complex:
     if ab.d != cd.d or ab.n != cd.n:
         raise DimensionMismatch("labels must share d and n")
     d = ab.d
+    sites = _site_matrices(d)
     beta = 1.0 + 0j
     for s in range(ab.n):
-        left = pauli_matrix(PauliLabel((ab.x[s],), (ab.z[s],), d))
-        right = pauli_matrix(PauliLabel((cd.x[s],), (cd.z[s],), d))
-        target = pauli_matrix(
-            PauliLabel(((ab.x[s] + cd.x[s]) % d,), ((ab.z[s] + cd.z[s]) % d,), d)
-        )
-        prod = left @ right
+        prod = sites[ab.x[s], ab.z[s]] @ sites[cd.x[s], cd.z[s]]
+        target = sites[(ab.x[s] + cd.x[s]) % d, (ab.z[s] + cd.z[s]) % d]
         r, c = np.nonzero(target)
         beta *= prod[r[0], c[0]] / target[r[0], c[0]]
     return complex(beta)
@@ -207,26 +198,19 @@ def _power_check(dim: int, d: int) -> int:
 
 
 def mu_vector(A, d: int, n: int) -> np.ndarray:
-    """All d^{2n} coefficients at once via the sparse sigma structure."""
+    """All d^{2n} coefficients mu_l = tr(sigma_l^dag A) / d^n, in label order."""
     A = as_operator(A)
     D = d**n
     if A.shape[0] != D:
         raise DimensionMismatch(f"operator dim {A.shape[0]} != {d}^{n}")
-    rows, phases = _label_table(d, n)
-    cols = np.arange(D)
-    gathered = A[rows, cols[None, :]]
-    return (phases.conj() * gathered).sum(axis=1) / D
+    table = _site_matrices(d).conj().transpose(2, 3, 0, 1)
+    return _contract_sites(A.reshape((d,) * (2 * n)), table, n).reshape(-1) / D
 
 
 def matrix_from_mu(mu: np.ndarray, d: int, n: int) -> np.ndarray:
     """Inverse of mu_vector: A = sum_l mu_l sigma_l."""
     D = d**n
-    rows, phases = _label_table(d, n)
-    A = np.zeros((D, D), dtype=np.complex128)
-    vals = mu[:, None] * phases
-    cols = np.broadcast_to(np.arange(D), rows.shape)
-    np.add.at(A, (rows.ravel(), cols.ravel()), vals.ravel())
-    return A
+    return _contract_sites(np.reshape(mu, (d,) * (2 * n)), _site_matrices(d), n).reshape(D, D)
 
 
 def decompose(A, d: int, n: int | None = None) -> PauliDecomposition:

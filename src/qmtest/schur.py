@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DimensionMismatch, Measurement, QmtestError, as_operator
-from .pauli import pauli_matrix, PauliLabel
 
 Partition = tuple[int, ...]
 
@@ -414,26 +413,6 @@ def block_decompose(A, basis: SchurBasis) -> BlockDecomposition:
         tilde[sl, sl] = block - hat_block
         per_lambda[shape] = collective
     return BlockDecomposition(hat=hat, tilde=tilde, bar=bar, per_lambda_hat=per_lambda)
-
-
-def permutation_pauli_basis(v: int) -> list[np.ndarray]:
-    """The v^2 unitary basis operators on a permutation factor, identity first.
-
-    Ordered by j = x*v + z over the shift-clock labels, matching the
-    convention used for audit probabilities.
-    """
-    out = []
-    for x in range(v):
-        for z in range(v):
-            out.append(pauli_matrix(PauliLabel((x,), (z,), v)))
-    return out
-
-
-def tilde_components(block: np.ndarray, w: int, v: int) -> list[np.ndarray]:
-    """Coefficient operators T_j with block = sum_j T_j (x) g_j."""
-    g = permutation_pauli_basis(v)
-    sub = block.reshape(w, v, w, v)
-    return [np.einsum("abcd,bd->ac", sub, gj.conj()) / v for gj in g]
 
 
 def perminv_defect(M: Measurement, basis: SchurBasis) -> float:

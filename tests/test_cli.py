@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qmtest import cli, core, pauli, schur, testers
 
@@ -111,6 +116,79 @@ class TestReports:
         )
         assert code == 0
         assert report["wall_time"] >= 0.05
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN_FILES = sorted(str(p) for p in GOLDEN.glob("*.json"))
+
+
+@st.composite
+def cli_argv(draw, out_dir: Path):
+    """A command line over the golden files, well formed or not, sometimes with
+    noise tokens inserted at random places.
+
+    Runs stay in aggregate mode, and test and estimate get ``--scale`` at
+    most 1e-3, so every run is quick; fixtures write only under out_dir.
+    """
+    path = st.sampled_from(GOLDEN_FILES)
+    # repeated entries weigh the draws toward runs that parse and complete
+    epsilon = st.sampled_from(["0.3", "0.5", "0.8", "0.3", "0.5", "0.8", "1", "-1", "abc"])
+    count = st.sampled_from(["1", "2", "1", "2", "0", "-1", "abc"])
+    command = draw(st.sampled_from(["validate", "distance", "test", "estimate", "fixtures"]))
+    if command == "validate":
+        argv = [command, draw(path)]
+    elif command == "distance":
+        argv = [command, draw(path), draw(path)]
+    elif command == "test":
+        prop = draw(st.sampled_from(["stabilizer", "klocal", "perminv", "finite-set"]))
+        argv = [command, prop, draw(path), "--epsilon", draw(epsilon), "--k", draw(count)]
+        for member in draw(st.lists(path, max_size=2)):
+            argv += ["--set", member]
+    elif command == "estimate":
+        argv = [command, draw(path), draw(path), "--epsilon", draw(epsilon)]
+        argv += draw(st.sampled_from([[], ["--identity"]]))
+    else:
+        kind = draw(st.sampled_from(["stabilizer", "far-stabilizer", "klocal", "perminv",
+                                     "compbasis"]))
+        argv = [command, kind, str(out_dir), "--n", draw(count),
+                "--d", draw(st.sampled_from(["2", "3"]))]
+    noise = st.sampled_from(["bogus", "--bogus", "", "-", "--epsilon", "--mode", "--k",
+                             "abc", str(out_dir / "missing.json")]) | path
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        token = draw(noise)
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    if command in ("test", "estimate"):
+        argv += ["--scale", draw(st.sampled_from(["1e-3", "1e-4", "1e-6"]))]
+    return argv
+
+
+class TestArguments:
+    def test_argument_error_is_a_report(self, capsys, stab_file):
+        code = cli.main(["test", "stabilizer", str(stab_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = strict_json(captured.out)
+        assert report["error"] == "UsageError: the following arguments are required: --epsilon"
+        assert captured.err.startswith("usage: qmtest test")
+
+    def test_help_exits_0_with_plain_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["test", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qmtest test")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_command_line_keeps_the_contract(self, tmp_path_factory, data):
+        argv = data.draw(cli_argv(tmp_path_factory.getbasetemp() / "cli-argv"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        report = strict_json(out.getvalue())
+        if code == 2:
+            assert "error" in report
 
 
 class TestValidateCommand:

@@ -209,6 +209,36 @@ class TestBehaviorGap:
         assert frac <= 0.2 + 0.02
 
 
+def loop_scan(M: core.Measurement) -> metric.StabilizerScan:
+    """Reference scan: build every projector pair and measure its distance."""
+    n = pauli._power_check(M.dim, 2)
+    best_label = None
+    best = math.inf
+    swapped_best = math.inf
+    for idx in range(1, 4**n):
+        label = pauli.label_from_index(idx, 2, n)
+        P = pauli.stabilizer_measurement(label.x, label.z)
+        d_id = metric.delta_measurement(M, P).delta
+        if d_id < best - 1e-15:
+            best = d_id
+            best_label = (label.x, label.z)
+        P_swapped = core.Measurement(
+            operators=(P.operators[1], P.operators[0]),
+            completeness_residual=P.completeness_residual,
+        )
+        swapped_best = min(swapped_best, metric.delta_measurement(M, P_swapped).delta)
+    return metric.StabilizerScan(best_label=best_label, best_delta=best,
+                                 swapped_delta=swapped_best)
+
+
+def assert_scans_agree(M: core.Measurement):
+    fast = metric.distance_to_stabilizer_family(M)
+    ref = loop_scan(M)
+    assert fast.best_label == ref.best_label
+    assert fast.best_delta == pytest.approx(ref.best_delta, abs=1e-12)
+    assert fast.swapped_delta == pytest.approx(ref.swapped_delta, abs=1e-12)
+
+
 class TestStabilizerScan:
     def test_member_found(self):
         M = pauli.stabilizer_measurement((1, 1), (0, 1))
@@ -229,6 +259,23 @@ class TestStabilizerScan:
     def test_compbasis_two_qubits_is_far(self):
         scan = metric.distance_to_stabilizer_family(comp_basis_measurement(4))
         assert scan.best_delta > 0.4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_loop_on_every_member(self, n):
+        for idx in range(1, 4**n):
+            label = pauli.label_from_index(idx, 2, n)
+            P = pauli.stabilizer_measurement(label.x, label.z)
+            assert_scans_agree(P)
+            assert_scans_agree(core.Measurement(
+                operators=(P.operators[1], P.operators[0]),
+                completeness_residual=P.completeness_residual,
+            ))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_loop_on_random_measurements(self, n, rng):
+        for outcomes in (1, 2, 3):
+            for _ in range(2):
+                assert_scans_agree(core.random_measurement(2**n, outcomes, rng))
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(core.DimensionMismatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,43 @@ class TestDecompose:
         meas = core.random_measurement(8, 4, rng)
         total = sum(np.sum(np.abs(pauli.mu_vector(op, 2, 3)) ** 2) for op in meas.operators)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+TRANSFORM_SIZES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2)]
+
+
+class TestTransformOracle:
+    """The per-site contraction against the defining traces, label by label,
+    and its inverse against the identity."""
+
+    @pytest.mark.parametrize("d,n", TRANSFORM_SIZES)
+    def test_mu_is_the_trace_against_each_sigma(self, d, n, rng):
+        D = d**n
+        A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        expected = [np.trace(pauli.pauli_matrix(lbl).conj().T @ A) / D
+                    for lbl in pauli.all_labels(d, n)]
+        mu = pauli.mu_vector(A, d, n)
+        np.testing.assert_allclose(mu, expected, atol=1e-13)
+        np.testing.assert_allclose(pauli.matrix_from_mu(mu, d, n), A, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", TRANSFORM_SIZES)
+    def test_support_masks_match_each_label(self, d, n):
+        expected = [sum(1 << (s - 1) for s in pauli.support(lbl))
+                    for lbl in pauli.all_labels(d, n)]
+        np.testing.assert_array_equal(pauli._support_masks(d, n), expected)
+
+    def test_mu_vector_memory_is_a_few_operators(self, rng):
+        # (2, 7): D = 128, so 8 complex D x D arrays are 2 MB; a table over
+        # all d^{2n} labels and d^n columns would need over 100 MB
+        D = 2**7
+        A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        tracemalloc.start()
+        try:
+            pauli.mu_vector(A, 2, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * D**2 * 16
 
 
 class TestSupportAndLocality:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmtest import core, pauli, schur
+from qmtest import core, schur
 
 from conftest import comp_basis_measurement
 
@@ -208,17 +208,6 @@ class TestBlockDecompose:
         ) / 6
         hat = schur.block_decompose(A, basis23).hat
         assert np.vdot(hat, hat).real <= np.vdot(avg, avg).real + 1e-10
-
-    def test_tilde_components_expand(self, basis23, rng):
-        A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        B = basis23.U @ A @ basis23.U.conj().T
-        offset, w, v = basis23.blocks[(2, 1)]
-        block = B[offset : offset + w * v, offset : offset + w * v]
-        comps = schur.tilde_components(block, w, v)
-        g = schur.permutation_pauli_basis(v)
-        rebuilt = sum(np.kron(T, gj) for T, gj in zip(comps, g))
-        np.testing.assert_allclose(rebuilt, block, atol=1e-10)
-        np.testing.assert_allclose(g[0], np.eye(v), atol=1e-14)
 
 
 class TestPermInvDefect:
