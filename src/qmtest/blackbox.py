@@ -259,15 +259,22 @@ class BlackBox:
         """First failing iteration among L symmetry checks, or L + 1 if all pass.
 
         Charges the iterations run, min(first failure, L).  Per trial, the
-        checks run one by one; in aggregate the geometric first failure is
-        drawn from one uniform by inverse transform.
+        checks draw one uniform each, as ``schur_iteration`` does, scanned
+        ``CHUNK`` at a time up to the chunk holding the first failure; in
+        aggregate the geometric first failure is drawn from one uniform by
+        inverse transform.
         """
-        if self.sampling == "per_trial":
-            for j in range(1, L + 1):
-                if not self.schur_iteration(basis):
-                    return j
-            return L + 1
         p = self.schur_pass_prob(basis)
+        if self.sampling == "per_trial":
+            _check_budget(L)
+            for start in range(0, L, CHUNK):
+                failed = np.flatnonzero(~(self.rng.random(min(CHUNK, L - start)) < p))
+                if failed.size:
+                    first = start + int(failed[0]) + 1
+                    self.query_count += first
+                    return first
+            self.query_count += L
+            return L + 1
         u = self.rng.random()
         if p <= 0.0:
             first = 1

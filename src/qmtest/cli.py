@@ -118,22 +118,7 @@ def load_schur_cache(path) -> schur.SchurBasis:
     if D != d**n:
         raise FileFormatError(f"{path}: header dimension mismatch")
     U = np.frombuffer(raw[24:], dtype="<c16").reshape(D, D).copy()
-    shapes = tuple(schur.partitions(n, d))
-    blocks = {}
-    triples = []
-    offset = 0
-    for shape in shapes:
-        w, v = schur.dim_gl(shape, d), schur.dim_sn(shape)
-        blocks[shape] = (offset, w, v)
-        for a in range(w):
-            for b in range(v):
-                triples.append((shape, a, b))
-        offset += w * v
-    U.setflags(write=False)
-    basis = schur.SchurBasis(d=d, n=n, U=U, shapes=shapes, blocks=blocks,
-                             triples=tuple(triples))
-    schur.verify_schur_basis(basis)
-    return basis
+    return schur.SchurBasis.from_unitary(d, n, U)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +338,9 @@ def cmd_schur(ns, report) -> int:
             f"d^n={ns.d ** ns.n} exceeds the cap {schur.MAX_DIM} (n <= {schur.MAX_SITES})"
         )
     basis = schur.build_schur_transform(ns.d, ns.n)
-    residuals = schur.verify_schur_basis(basis)
     save_schur_cache(basis, ns.out)
     report["params"] = {"d": ns.d, "n": ns.n, "out": str(ns.out)}
-    report["residuals"] = residuals
+    report["residuals"] = basis.residuals
     report["blocks"] = {
         str(shape): {"w": basis.blocks[shape][1], "v": basis.blocks[shape][2]}
         for shape in basis.shapes

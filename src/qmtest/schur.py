@@ -4,14 +4,25 @@ For n qudits, the permutation action and the collective action E^{(x)n}
 commute, and the space splits into blocks labelled by partitions of n with at
 most d parts.  The transform is built numerically: Young's orthogonal
 representation on standard tableaux gives group-algebra matrix units, whose
-images carve out the blocks.  Everything is verified after construction.
+images carve out the blocks.
+
+Every basis, built here or read from a cache, goes through one constructor,
+``SchurBasis.from_unitary``, which lays out the blocks and verifies U.  The
+permutation part of the check runs on the n - 1 adjacent transpositions
+s_j = (j, j+1) alone.  Both p -> U P_p U^dag and p -> (+)_lambda I_w (x)
+rho_lambda(p) are homomorphisms (``permutation_operator`` has
+P_{p s} = P_p P_s, and ``_group_representations`` builds
+rho(p s_j) = rho(p) rho(s_j)), and every permutation is a word of at most
+n(n-1)/2 generators, so the generator residuals bound the residual of all n!
+permutations; see ``verify_schur_basis``.  Each U P_{s_j} is a column gather
+of U, and no dense permutation matrix is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -96,6 +107,7 @@ def permutation_operator(perm, d: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def _site_digits(d: int, n: int) -> np.ndarray:
     """(n, d^n) array: digit of each site for every basis index, site 0 leading."""
     D = d**n
@@ -104,6 +116,7 @@ def _site_digits(d: int, n: int) -> np.ndarray:
     for s in range(n - 1, -1, -1):
         digits[s] = v % d
         v = v // d
+    digits.setflags(write=False)
     return digits
 
 
@@ -116,6 +129,13 @@ def _perm_row_map(perm: tuple[int, ...], d: int) -> np.ndarray:
         inv[t] = s
     weights = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return weights @ digits[inv]
+
+
+def _adjacent_transposition(j: int, n: int) -> tuple[int, ...]:
+    """The permutation s_j of n sites that swaps sites j and j + 1."""
+    perm = list(range(n))
+    perm[j], perm[j + 1] = j + 1, j
+    return tuple(perm)
 
 
 def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
@@ -209,7 +229,8 @@ class SchurBasis:
     ``U`` maps standard coordinates to symmetry-adapted coordinates; row k of
     U is the bra of the k-th adapted vector.  Basis order: partitions in
     partitions() order, then the collective index a, then the permutation
-    index b, so index k of block lambda is offset + a*v + b.
+    index b, so index k of block lambda is offset + a*v + b.  ``residuals``
+    are those of the verification ``from_unitary`` ran.
     """
 
     d: int
@@ -218,6 +239,25 @@ class SchurBasis:
     shapes: tuple[Partition, ...]
     blocks: dict[Partition, tuple[int, int, int]]  # shape -> (offset, w, v)
     triples: tuple[tuple[Partition, int, int], ...] = field(repr=False)
+    residuals: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def from_unitary(cls, d: int, n: int, U: np.ndarray) -> SchurBasis:
+        """Lay out the blocks of (d, n) around U, then verify the result.
+
+        U is made read-only.  Raises VerificationFailure when U fails
+        ``verify_schur_basis``; the residuals are kept on the basis.
+        """
+        shapes, blocks = _block_layout(d, n)
+        if U.shape != (d**n, d**n):
+            raise DimensionMismatch(f"U has shape {U.shape}, expected {(d**n, d**n)}")
+        U.setflags(write=False)
+        triples = tuple(
+            (shape, a, b) for shape, (_, w, v) in blocks.items()
+            for a in range(w) for b in range(v)
+        )
+        basis = cls(d=d, n=n, U=U, shapes=shapes, blocks=blocks, triples=triples)
+        return replace(basis, residuals=verify_schur_basis(basis))
 
     @property
     def D(self) -> int:
@@ -242,20 +282,29 @@ class SchurBasis:
         return reps[tuple(perm)][self.shapes.index(shape)]
 
 
-def _matrix_unit_image(
-    d: int, n: int, shape_idx: int, b: int, bp: int, perms, reps, v: int
-) -> np.ndarray:
-    """Dense image of the group-algebra matrix unit e^shape_{b,bp}."""
-    D = d**n
-    out = np.zeros((D, D))
-    cols = np.arange(D)
-    scale = v / math.factorial(n)
-    for p in perms:
-        coef = scale * reps[p][shape_idx][b, bp]
-        if coef == 0.0:
-            continue
-        out[_perm_row_map(p, d), cols] += coef
-    return out
+def _block_layout(d: int, n: int) -> tuple[tuple[Partition, ...], dict]:
+    """Block shapes in basis order and each one's (offset, w, v)."""
+    shapes = tuple(partitions(n, d))
+    blocks: dict[Partition, tuple[int, int, int]] = {}
+    offset = 0
+    for shape in shapes:
+        w, v = dim_gl(shape, d), dim_sn(shape)
+        blocks[shape] = (offset, w, v)
+        offset += w * v
+    if offset != d**n:
+        raise VerificationFailure("block dimensions do not add up to d^n")
+    return shapes, blocks
+
+
+def _matrix_unit_image(cells: np.ndarray, coefs: np.ndarray, D: int) -> np.ndarray:
+    """Dense image sum_p coefs[p] P_p of a group-algebra element.
+
+    ``cells[p]`` holds the flat (row * D + col) entries where P_p is 1.  Each
+    entry sums its nonzero terms in permutation order, starting from zero.
+    """
+    keep = coefs != 0.0
+    weights = np.repeat(coefs[keep], D)
+    return np.bincount(cells[keep].ravel(), weights=weights, minlength=D * D).reshape(D, D)
 
 
 def build_schur_transform(d: int, n: int) -> SchurBasis:
@@ -264,39 +313,22 @@ def build_schur_transform(d: int, n: int) -> SchurBasis:
         raise ValueError("d and n must be positive")
     if d**n > MAX_DIM or n > MAX_SITES:
         raise ValueError(f"d^n must stay <= {MAX_DIM} with n <= {MAX_SITES}")
-    shapes = tuple(partitions(n, d))
+    shapes, blocks = _block_layout(d, n)
     perms, reps = _group_representations(n, shapes)
     D = d**n
-    dims = [(dim_gl(s, d), dim_sn(s)) for s in shapes]
-    if sum(w * v for w, v in dims) != D:
-        raise VerificationFailure("block dimensions do not add up to d^n")
-
-    rows = np.zeros((D, D), dtype=np.complex128)
-    blocks: dict[Partition, tuple[int, int, int]] = {}
-    triples: list[tuple[Partition, int, int]] = []
-    offset = 0
+    cells = np.stack([_perm_row_map(p, d) for p in perms]) * D + np.arange(D)
+    U = np.zeros((D, D), dtype=np.complex128)
     for s, shape in enumerate(shapes):
-        w, v = dims[s]
-        e00 = _matrix_unit_image(d, n, s, 0, 0, perms, reps, v)
-        seeds = _orthonormal_image(e00, w, shape)
-        columns = [seeds]
-        for b in range(1, v):
-            eb0 = _matrix_unit_image(d, n, s, b, 0, perms, reps, v)
-            columns.append(eb0 @ seeds)
-        for a in range(w):
-            for b in range(v):
-                rows[offset + a * v + b] = columns[b][:, a].conj()
-                triples.append((shape, a, b))
-        blocks[shape] = (offset, w, v)
-        offset += w * v
-
-    U = rows
-    U.setflags(write=False)
-    basis = SchurBasis(
-        d=d, n=n, U=U, shapes=shapes, blocks=blocks, triples=tuple(triples)
-    )
-    verify_schur_basis(basis)
-    return basis
+        offset, w, v = blocks[shape]
+        # coefs[p, b]: coefficient of p in the matrix unit e^shape_{b,0}
+        coefs = v / math.factorial(n) * np.array([reps[p][s][:, 0] for p in perms])
+        seeds = _orthonormal_image(_matrix_unit_image(cells, coefs[:, 0], D), w, shape)
+        columns = [seeds] + [
+            _matrix_unit_image(cells, coefs[:, b], D) @ seeds for b in range(1, v)
+        ]
+        # row offset + a*v + b is the bra of column a of columns[b]
+        U[offset : offset + w * v] = np.stack(columns).transpose(2, 0, 1).reshape(w * v, D).conj()
+    return SchurBasis.from_unitary(d, n, U)
 
 
 def _orthonormal_image(proj: np.ndarray, rank: int, shape: Partition) -> np.ndarray:
@@ -331,24 +363,40 @@ def verify_schur_basis(
 ) -> dict[str, float]:
     """Check unitarity and both intertwining block structures.
 
+    ``unitarity`` is |U U^dag - I|_F.  ``collective_blocks`` is the largest
+    distance of U E^{(x)n} U^dag from its I_v-factored part over
+    ``random_maps`` random E.  ``permutation_blocks`` bounds
+    |U P_p U^dag - (+)_lambda I_w (x) rho_lambda(p)|_F over all n!
+    permutations p, from the n - 1 adjacent transpositions alone.  With r
+    the largest generator residual, eta the unitarity residual and
+    a = r + eta, appending a generator to a word of residual e gives a
+    residual of at most e + a + e r + eta^2 <= (e + a)(1 + a), and every p
+    is a word of at most K = n(n-1)/2 generators, so up to rounding each
+    residual is at most K a (1 + a)^K, which is K (r + eta) to first order.
+
     Raises VerificationFailure when any residual exceeds ``tol`` (unitarity is
     held to 1e-10).  Returns the residuals for reporting.
     """
     if rng is None:
         rng = np.random.default_rng(20240801)
     U = basis.U
-    D = basis.D
-    unitarity = float(np.linalg.norm(U @ U.conj().T - np.eye(D)))
-    perms, reps = _group_representations(basis.n, basis.shapes)
-    perm_res = 0.0
-    for p in perms:
-        got = U @ permutation_operator(p, basis.d) @ U.conj().T
+    D, n = basis.D, basis.n
+    U_dag = U.conj().T
+    unitarity = float(np.linalg.norm(U @ U_dag - np.eye(D)))
+    _, reps = _group_representations(n, basis.shapes)
+    generator_res = 0.0
+    for j in range(n - 1):
+        s = _adjacent_transposition(j, n)
+        got = U[:, _perm_row_map(s, basis.d)] @ U_dag  # U P_s U^dag
         expected = np.zeros((D, D))
-        for s, shape in enumerate(basis.shapes):
-            offset, w, v = basis.blocks[shape]
-            block = np.kron(np.eye(w), reps[p][s])
-            expected[offset : offset + w * v, offset : offset + w * v] = block
-        perm_res = max(perm_res, float(np.linalg.norm(got - expected)))
+        for k, shape in enumerate(basis.shapes):
+            _, w, _ = basis.blocks[shape]
+            sl = basis.block_slice(shape)
+            expected[sl, sl] = np.kron(np.eye(w), reps[s][k])
+        generator_res = max(generator_res, float(np.linalg.norm(got - expected)))
+    words = n * (n - 1) // 2
+    a = generator_res + unitarity
+    perm_res = max(unitarity, words * a * (1.0 + a) ** words)
     collective_res = 0.0
     for _ in range(random_maps):
         E = rng.standard_normal((basis.d, basis.d)) + 1j * rng.standard_normal(
@@ -357,7 +405,7 @@ def verify_schur_basis(
         tensor = E
         for _ in range(basis.n - 1):
             tensor = np.kron(tensor, E)
-        got = U @ tensor @ U.conj().T
+        got = U @ tensor @ U_dag
         approx = np.zeros_like(got)
         for shape in basis.shapes:
             offset, w, v = basis.blocks[shape]

@@ -34,6 +34,15 @@ class GramIllConditioned(QmtestError):
     """Reference states are nearly dependent; contradicts the separation gamma."""
 
 
+class InvalidLocality(QmtestError):
+    """The locality or outcome bound k is not a positive integer."""
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise InvalidLocality(f"k must be a positive integer, got {k}")
+
+
 @dataclass(frozen=True)
 class TesterConfig:
     epsilon: float
@@ -176,6 +185,7 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
 
 
 def klocal_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
+    _check_k(k)
     L = _scaled_count(1200 * k / epsilon**2 * (math.log(k / epsilon) + 1), scale)
     return {"L": L}
 
@@ -359,6 +369,7 @@ def overlap_estimate_from_counts(zeros: int, copies: int) -> float:
 
 
 def distance_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
+    _check_k(k)
     L = _scaled_count(50000 * k**5 * math.log(40 * k) / epsilon**12, scale)
     threshold = epsilon**4 / (16 * k) - epsilon**4 / (36 * k**2)
     return {"L": L, "threshold": threshold, "T": math.floor(threshold * L)}

@@ -319,3 +319,27 @@ class TestSamplingLayer:
                 first = box.sample_first_failure(basis, 5)
                 assert 1 <= first <= 6
                 assert box.query_count == min(first, 5)
+
+    def test_per_trial_first_failure_matches_single_draws(self, monkeypatch):
+        # the chunked scan finds the failure that one-at-a-time
+        # ``schur_iteration`` calls would, across chunk boundaries too
+        monkeypatch.setattr(blackbox, "CHUNK", 7)
+        basis = schur.build_schur_transform(2, 2)
+        for meas, L in ((comp_basis_measurement(4), 60), (schur.isotypic_projectors(basis), 30)):
+            for s in range(40):
+                box = blackbox.BlackBox(meas, seed=s, d=2, sampling="per_trial")
+                first = box.sample_first_failure(basis, L)
+                single = blackbox.BlackBox(meas, seed=s, d=2)
+                expected = next((j for j in range(1, L + 1) if not single.schur_iteration(basis)),
+                                L + 1)
+                assert first == expected
+                assert box.query_count == single.query_count == min(expected, L)
+
+    def test_per_trial_first_failure_budget(self):
+        basis = schur.build_schur_transform(2, 2)
+        box = blackbox.BlackBox(comp_basis_measurement(4), seed=0, d=2, sampling="per_trial")
+        state = box.rng.bit_generator.state
+        with pytest.raises(blackbox.SampleBudgetExceeded):
+            box.sample_first_failure(basis, 2**63)
+        assert box.rng.bit_generator.state == state
+        assert box.query_count == 0

@@ -280,6 +280,24 @@ class TestTestCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_klocal_nonpositive_k(self, capsys, stab_file, k):
+        code, report = run_cli(
+            capsys, "test", "klocal", str(stab_file), "--k", k, "--epsilon", "0.3"
+        )
+        assert code == 2
+        assert report["error"] == f"InvalidLocality: k must be a positive integer, got {k}"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_estimate_nonpositive_k(self, capsys, stab_file, stab_file_other, k):
+        for extra in ((), ("--identity",)):
+            code, report = run_cli(
+                capsys, "estimate", str(stab_file), str(stab_file_other), "--k", k,
+                "--epsilon", "0.5", *extra
+            )
+            assert code == 2
+            assert report["error"] == f"InvalidLocality: k must be a positive integer, got {k}"
+
     def test_perminv_reject(self, capsys, tmp_path):
         path = tmp_path / "comp.json"
         cli.save_measurement(path, comp_basis_measurement(4), 2, 2, {})
@@ -375,6 +393,38 @@ class TestSchurCommand:
         assert report["residuals"]["unitarity"] <= 1e-10
         basis = cli.load_schur_cache(out)
         assert basis.d == 2 and basis.n == 3
+
+    def test_verifies_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        verify = schur.verify_schur_basis
+
+        def counted(basis, *args, **kwargs):
+            calls.append(verify(basis, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(schur, "verify_schur_basis", counted)
+        code, report = run_cli(capsys, "schur", "2", "3", str(tmp_path / "s.bin"))
+        assert code == 0
+        assert len(calls) == 1
+        assert report["residuals"] == calls[0]
+
+    def test_perminv_reuses_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "schur_2_3.bin"
+        path = tmp_path / "iso.json"
+        basis = schur.build_schur_transform(2, 3)
+        cli.save_measurement(path, schur.isotypic_projectors(basis), 2, 3, {})
+        args = ("test", "perminv", str(path), "--epsilon", "0.3", "--seed", "1",
+                "--schur-cache", str(cache))
+        code, first = run_cli(capsys, *args)
+        assert code == 0 and cache.exists()
+
+        def refuse(d, n):
+            raise AssertionError("the cached transform should be loaded, not rebuilt")
+
+        monkeypatch.setattr(schur, "build_schur_transform", refuse)
+        code, second = run_cli(capsys, *args)
+        assert code == 0
+        assert second["verdict"] == first["verdict"]
 
     def test_cache_round_trip_matches(self, tmp_path):
         basis = schur.build_schur_transform(2, 2)

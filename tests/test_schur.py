@@ -1,12 +1,33 @@
+import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmtest import core, schur
+from qmtest import cli, core, schur
 
 from conftest import comp_basis_measurement
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def loop_permutation_residual(basis) -> float:
+    """Largest |U P_p U^dag - (+)_lambda I_w (x) rho_lambda(p)|_F over all n!
+    permutations, each applied as a dense matrix: the check that the generator
+    bound of ``verify_schur_basis`` replaced, kept here as its oracle."""
+    U = basis.U
+    worst = 0.0
+    for p in basis.permutations():
+        got = U @ schur.permutation_operator(p, basis.d) @ U.conj().T
+        expected = np.zeros((basis.D, basis.D))
+        for shape in basis.shapes:
+            _, w, _ = basis.blocks[shape]
+            sl = basis.block_slice(shape)
+            expected[sl, sl] = np.kron(np.eye(w), basis.rep_matrix(p, shape))
+        worst = max(worst, float(np.linalg.norm(got - expected)))
+    return worst
 
 
 class TestPartitions:
@@ -240,3 +261,91 @@ class TestIsotypicProjectors:
             tau = schur.permutation_operator(p, 2)
             for op in iso.operators:
                 assert np.linalg.norm(tau @ op - op @ tau) <= 1e-10
+
+
+def _swap_rows_across_blocks(basis):
+    U = basis.U.copy()
+    first, last = basis.shapes[0], basis.shapes[-1]
+    i, j = basis.index_of(first, 0, 0), basis.index_of(last, 0, 0)
+    U[[i, j]] = U[[j, i]]
+    return U
+
+
+def _rotate_permutation_index(basis, angle=1e-4):
+    shape = next(s for s in basis.shapes if basis.blocks[s][2] >= 2)
+    i, j = basis.index_of(shape, 0, 0), basis.index_of(shape, 0, 1)
+    U = basis.U.copy()
+    c, s = math.cos(angle), math.sin(angle)
+    U[i], U[j] = c * basis.U[i] - s * basis.U[j], s * basis.U[i] + c * basis.U[j]
+    return U
+
+
+def _gather_by_site_transposition(basis):
+    s0 = schur._adjacent_transposition(0, basis.n)
+    return basis.U @ schur.permutation_operator(s0, basis.d)
+
+
+class TestGeneratorCheck:
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+    def test_bound_covers_every_permutation(self, d, n):
+        basis = schur.build_schur_transform(d, n)
+        residuals = schur.verify_schur_basis(basis)
+        assert residuals == basis.residuals
+        assert residuals["permutation_blocks"] >= loop_permutation_residual(basis)
+        assert residuals["permutation_blocks"] <= 1e-8
+
+    @pytest.mark.parametrize("mutate", [_swap_rows_across_blocks, _rotate_permutation_index,
+                                        _gather_by_site_transposition])
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4)])
+    def test_mutated_basis_rejected(self, d, n, mutate):
+        basis = schur.build_schur_transform(d, n)
+        U = mutate(basis)
+        np.testing.assert_allclose(U @ U.conj().T, np.eye(basis.D), atol=1e-12)
+        mutant = dataclasses.replace(basis, U=U)
+        assert loop_permutation_residual(mutant) > 1e-8
+        with pytest.raises(schur.VerificationFailure):
+            schur.verify_schur_basis(mutant)
+        with pytest.raises(schur.VerificationFailure):
+            schur.SchurBasis.from_unitary(d, n, U)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+    def test_permutation_operator_homomorphism_on_generators(self, d, n):
+        for p in itertools.permutations(range(n)):
+            for j in range(n - 1):
+                s = schur._adjacent_transposition(j, n)
+                ps = tuple(p[s[i]] for i in range(n))
+                assert np.array_equal(
+                    schur.permutation_operator(ps, d),
+                    schur.permutation_operator(p, d) @ schur.permutation_operator(s, d),
+                )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_representation_homomorphism_on_generators(self, n):
+        shapes = tuple(schur.partitions(n, n))
+        _, reps = schur._group_representations(n, shapes)
+        for p in itertools.permutations(range(n)):
+            for j in range(n - 1):
+                s = schur._adjacent_transposition(j, n)
+                ps = tuple(p[s[i]] for i in range(n))
+                for k in range(len(shapes)):
+                    np.testing.assert_allclose(reps[ps][k], reps[p][k] @ reps[s][k],
+                                               rtol=0, atol=1e-12)
+
+    def test_cache_bytes_unchanged(self, tmp_path):
+        # schur_d2_n3.bin was written by the dense-loop build
+        path = tmp_path / "schur_d2_n3.bin"
+        cli.save_schur_cache(schur.build_schur_transform(2, 3), path)
+        assert path.read_bytes() == (GOLDEN / "schur_d2_n3.bin").read_bytes()
+
+    def test_cache_load_matches_build(self):
+        loaded = cli.load_schur_cache(GOLDEN / "schur_d2_n3.bin")
+        built = schur.build_schur_transform(2, 3)
+        assert loaded.U.tobytes() == built.U.tobytes()
+        assert (loaded.shapes, loaded.blocks, loaded.triples) == (
+            built.shapes, built.blocks, built.triples)
+        assert loaded.residuals == built.residuals
+        assert not loaded.U.flags.writeable
+
+    def test_from_unitary_checks_shape(self):
+        with pytest.raises(core.DimensionMismatch):
+            schur.SchurBasis.from_unitary(2, 3, np.eye(4, dtype=complex))

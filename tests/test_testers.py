@@ -90,6 +90,13 @@ class TestConstants:
         assert (c["L"], c["T"]) == (L, T)
         assert c["threshold"] == pytest.approx(eps**4 / (16 * k) - eps**4 / (36 * k**2))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_refused(self, k):
+        for constants in (testers.klocal_constants, testers.distance_constants):
+            with pytest.raises(testers.InvalidLocality, match="k must be a positive integer"):
+                constants(0.3, k)
+        assert issubclass(testers.InvalidLocality, core.QmtestError)
+
     @pytest.mark.parametrize(
         "eps,delta,L",
         [(0.1, 0.05, 73_778), (0.2, 0.1, 3_745), (0.3, 0.05, 911), (0.1, 0.01, 105_967), (0.5, 0.2, 74)],
