@@ -57,8 +57,8 @@ from .schur import (
     hook_lengths,
     isotypic_projectors,
     partitions,
-    perminv_defect,
     permutation_operator,
+    twirl,
 )
 from .blackbox import BlackBox, SampleBudgetExceeded, aggregate_multinomial, chernoff_samples
 from .testers import (

@@ -4,9 +4,10 @@ The device hides a measurement and exposes only the entangled-input query:
 each query feeds half of a maximally entangled state to the hidden
 measurement, yielding an outcome index with probability p(M_i) and leaving
 the normalized vectorized operator as the post-measurement state.  Follow-up
-measurements on that post-state (Pauli-basis labels, single-site signs,
-symmetry-adapted checks) are sampled from their exact distributions computed
-out of the hidden operators; post-states are never materialized.
+measurements on that post-state (Pauli-basis labels, single-site signs) are
+sampled from their exact distributions computed out of the hidden operators;
+post-states are never materialized.  The symmetry check passes with
+probability (1/D) sum_i |twirl(M_i)|_F^2 (``schur_audit``); no basis is built.
 
 The box owns the sampling mode, fixed at construction, and every draw a
 tester makes goes through one of its ``sample_*`` methods, or through
@@ -118,7 +119,7 @@ class BlackBox:
         self._choi_probs: np.ndarray | None = None
         self._q_dists: dict[int, np.ndarray] = {}
         self._sign_probs: dict[tuple, float] = {}
-        self._schur_cache: dict[int, tuple[float, dict]] = {}
+        self._pass_prob: float | None = None
 
     @property
     def dim(self) -> int:
@@ -225,37 +226,30 @@ class BlackBox:
         p_fail (the stabilizer sign checks); no queries are charged."""
         return _bernoulli_count(W, p_fail, self.rng, self.sampling)
 
-    def schur_audit(self, basis: schur.SchurBasis):
-        """Pass probability and per-(shape, outcome) event probabilities."""
-        key = id(basis)
-        if key not in self._schur_cache:
-            events: dict[tuple, float] = {}
-            total = 0.0
-            for i, op in enumerate(self._hidden.operators):
-                per_shape = schur.block_decompose(op, basis).per_lambda_hat
-                for shape, collective in per_shape.items():
-                    _, _, v = basis.blocks[shape]
-                    prob = v / basis.D * float(np.vdot(collective, collective).real)
-                    events[(shape, i)] = prob
-                    total += prob
-            self._schur_cache[key] = (min(total, 1.0), events)
-        return self._schur_cache[key]
+    def schur_audit(self) -> float:
+        """Pass probability of one symmetry-check iteration,
+        (1/D) sum_i |twirl(M_i)|_F^2, clipped to 1."""
+        self._require_label_space()
+        if self._pass_prob is None:
+            mass = 0.0
+            for op in self._hidden.operators:
+                hat = schur.twirl(op, self.d, self.n)
+                mass += float(np.vdot(hat, hat).real)
+            self._pass_prob = min(mass / self.dim, 1.0)
+        return self._pass_prob
 
-    def schur_pass_prob(self, basis: schur.SchurBasis) -> float:
-        return self.schur_audit(basis)[0]
-
-    def schur_iteration(self, basis: schur.SchurBasis) -> bool:
+    def schur_iteration(self) -> bool:
         """One full symmetry-check iteration (query, transform, compare, measure).
 
         Passes exactly when the two block labels agree and the permutation
-        registers land on the identity basis operator; the combined pass
-        probability is (1/D) sum_i |hat(M_i)|^2.
+        registers land on the identity basis operator, with probability
+        ``schur_audit()``.
         """
-        passed = self.rng.random() < self.schur_pass_prob(basis)
+        passed = self.rng.random() < self.schur_audit()
         self.query_count += 1
         return passed
 
-    def sample_first_failure(self, basis: schur.SchurBasis, L: int) -> int:
+    def sample_first_failure(self, L: int) -> int:
         """First failing iteration among L symmetry checks, or L + 1 if all pass.
 
         Charges the iterations run, min(first failure, L).  Per trial, the
@@ -264,7 +258,7 @@ class BlackBox:
         aggregate the geometric first failure is drawn from one uniform by
         inverse transform.
         """
-        p = self.schur_pass_prob(basis)
+        p = self.schur_audit()
         if self.sampling == "per_trial":
             _check_budget(L)
             for start in range(0, L, CHUNK):

@@ -298,21 +298,15 @@ def klocal_distance_lower_bound(M: Measurement, k: int, d: int = 2) -> float:
     return math.sqrt(max(1.0 - math.sqrt(min(best_mass, 1.0)), 0.0))
 
 
-def nearest_perminv(M: Measurement, basis: "schur.SchurBasis") -> tuple[Measurement, float]:
+def nearest_perminv(M: Measurement, d: int = 2) -> tuple[Measurement, float]:
     """Permutation-invariant measurement provably close to M.
 
-    Keeps the block-diagonal identity-on-V component of every operator in the
-    symmetry-adapted basis and appends the completeness slack root.
+    Keeps the twirl of every operator over the site permutations of
+    (C^d)^(x)n and appends the completeness slack root.
     """
-    if M.dim != basis.D:
-        raise DimensionMismatch("measurement and basis dimensions differ")
-    U = basis.U
-    ops = []
-    mass = 0.0
-    for op in M.operators:
-        hat = schur.block_decompose(op, basis).hat
-        mass += float(np.vdot(hat, hat).real)
-        ops.append(U.conj().T @ hat @ U)
+    n = pauli._power_check(M.dim, d)
+    ops = [schur.twirl(op, d, n) for op in M.operators]
+    mass = sum(float(np.vdot(op, op).real) for op in ops)
     slack = np.eye(M.dim, dtype=np.complex128) - sum(op.conj().T @ op for op in ops)
     ops.append(_psd_sqrt(slack))
     N = validate_measurement(ops)

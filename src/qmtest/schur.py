@@ -1,10 +1,17 @@
-"""Symmetric-group machinery and the symmetry-adapted (Schur) basis.
+"""The symmetry projection and the symmetry-adapted (Schur) basis.
 
-For n qudits, the permutation action and the collective action E^{(x)n}
-commute, and the space splits into blocks labelled by partitions of n with at
-most d parts.  The transform is built numerically: Young's orthogonal
-representation on standard tableaux gives group-algebra matrix units, whose
-images carve out the blocks.
+``twirl`` projects an operator onto the commutant of the site permutations,
+the group average (1/n!) sum_p P_p A P_p^dag, by O(n^2) axis swaps and no
+basis; the permutation-invariance tester and ``metric.nearest_perminv`` use it
+alone.
+
+The Schur basis is kept where block labels matter: ``qmtest schur``, the
+isotypic-projector fixtures, and the tests' oracle for the twirl.  For n
+qudits, the permutation action and the collective action E^{(x)n} commute, and
+the space splits into blocks labelled by partitions of n with at most d parts.
+The transform is built numerically: Young's orthogonal representation on
+standard tableaux gives group-algebra matrix units, whose images carve out the
+blocks.
 
 Every basis, built here or read from a cache, goes through one constructor,
 ``SchurBasis.from_unitary``, which lays out the blocks and verifies U.  The
@@ -136,6 +143,30 @@ def _adjacent_transposition(j: int, n: int) -> tuple[int, ...]:
     perm = list(range(n))
     perm[j], perm[j + 1] = j + 1, j
     return tuple(perm)
+
+
+def twirl(A, d: int, n: int) -> np.ndarray:
+    """Projection of A onto the commutant of S_n: (1/n!) sum_p P_p A P_p^dag.
+
+    Averages over the coset chain S_1 < ... < S_n (Harrow, "The church of the
+    symmetric subspace", arXiv:1308.6595): with T_0 = A, the identity and the
+    transpositions (j k), j < k, represent the cosets of S_k in S_{k+1}, so
+    T_k = (T_{k-1} + sum_{j<k} Ad_{(j k)} T_{k-1}) / (k + 1) is S_{k+1}-invariant.
+    Ad_{(j k)} swaps row axes j, k and column axes n+j, n+k of the (d,)*2n
+    tensor, so the cost is O(n^2 D^2) with about three D x D arrays alive.
+    """
+    A = as_operator(A)
+    if A.shape[0] != d**n:
+        raise DimensionMismatch(f"operator dimension {A.shape[0]} is not {d}^{n}")
+    T = A.reshape((d,) * (2 * n))
+    for k in range(1, n):
+        acc = T.copy()
+        for j in range(k):
+            axes = list(range(2 * n))
+            axes[j], axes[k], axes[n + j], axes[n + k] = k, j, n + k, n + j
+            acc += T.transpose(axes)
+        T = np.divide(acc, k + 1, out=acc)
+    return T.reshape(A.shape)
 
 
 def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:
@@ -426,17 +457,15 @@ def verify_schur_basis(
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Split of U A U^dag into invariant, within-block, and cross-block parts.
+    """Invariant part of U A U^dag in the symmetry-adapted basis.
 
     ``hat`` collects the identity-on-permutation-factor component of every
-    diagonal block, ``tilde`` the traceless remainder within diagonal blocks,
-    and ``bar`` everything between different blocks; the three are mutually
-    orthogonal and their norms square-add to |A|_F^2.
+    diagonal block, and ``per_lambda_hat[shape]`` is that block's collective
+    factor, so hat = (+)_lambda per_lambda_hat[lambda] (x) I_v.  U^dag hat U is
+    ``twirl(A)``.
     """
 
     hat: np.ndarray
-    tilde: np.ndarray
-    bar: np.ndarray
     per_lambda_hat: dict[Partition, np.ndarray]
 
 
@@ -446,30 +475,14 @@ def block_decompose(A, basis: SchurBasis) -> BlockDecomposition:
         raise DimensionMismatch("operator dimension does not match the basis")
     B = basis.U @ A @ basis.U.conj().T
     hat = np.zeros_like(B)
-    tilde = np.zeros_like(B)
-    bar = B.copy()
     per_lambda: dict[Partition, np.ndarray] = {}
     for shape in basis.shapes:
         offset, w, v = basis.blocks[shape]
         sl = slice(offset, offset + w * v)
-        block = B[sl, sl]
-        bar[sl, sl] = 0.0
-        sub = block.reshape(w, v, w, v)
-        collective = np.einsum("abcb->ac", sub) / v
-        hat_block = np.kron(collective, np.eye(v))
-        hat[sl, sl] = hat_block
-        tilde[sl, sl] = block - hat_block
+        collective = np.einsum("abcb->ac", B[sl, sl].reshape(w, v, w, v)) / v
+        hat[sl, sl] = np.kron(collective, np.eye(v))
         per_lambda[shape] = collective
-    return BlockDecomposition(hat=hat, tilde=tilde, bar=bar, per_lambda_hat=per_lambda)
-
-
-def perminv_defect(M: Measurement, basis: SchurBasis) -> float:
-    """1 - (1/D) sum_i |hat(M_i)|^2, in [0, 1]; zero iff permutation-invariant."""
-    mass = 0.0
-    for op in M.operators:
-        hat = block_decompose(op, basis).hat
-        mass += float(np.vdot(hat, hat).real)
-    return min(max(1.0 - mass / basis.D, 0.0), 1.0)
+    return BlockDecomposition(hat=hat, per_lambda_hat=per_lambda)
 
 
 def isotypic_projectors(basis: SchurBasis) -> Measurement:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metric, pauli, schur
+from . import metric, pauli
 from .blackbox import BlackBox, paired_swap_zeros, shared_sampling
 from .core import DimensionMismatch, Measurement, QmtestError, choi_prob, hs_inner
 
@@ -220,19 +220,19 @@ def perminv_constants(epsilon: float, scale: float = 1.0) -> dict:
     return {"L": _scaled_count(5 / epsilon**2, scale)}
 
 
-def test_perminv(box: BlackBox, basis: schur.SchurBasis, cfg: TesterConfig) -> Verdict:
+def test_perminv(box: BlackBox, cfg: TesterConfig) -> Verdict:
     """Accepts iff L symmetry-check iterations all pass.
 
-    Each iteration passes with probability (1/D) sum_i |hat(M_i)|^2, so the
-    acceptance probability is that value to the L-th power.
+    Each iteration passes with probability p = (1/D) sum_i |twirl(M_i)|_F^2,
+    the mass of the hidden operators on the commutant of the site
+    permutations (``BlackBox.schur_audit``), so the acceptance probability is
+    p^L.  No Schur basis is built; the box must know its local dimension d.
     """
-    if box.dim != basis.D:
-        raise DimensionMismatch("box and basis dimensions differ")
     L = perminv_constants(cfg.epsilon, cfg.constant_scale)["L"]
-    p = box.schur_pass_prob(basis)
+    p = box.schur_audit()
     params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": box.sampling,
               "constant_scale": cfg.constant_scale, "L": L}
-    first_failure = box.sample_first_failure(basis, L)
+    first_failure = box.sample_first_failure(L)
     stats = {"pass_prob": p, "iterations": min(first_failure, L)}
     if first_failure > L:
         return Verdict("accept", None, box.query_count, stats, params)

@@ -141,11 +141,11 @@ def test_c06_perminv_tester():
     comp = comp_basis_measurement(4)
     cfg = testers.TesterConfig(epsilon=0.5, seed=0)
     iso_accepts = sum(
-        testers.test_perminv(BlackBox(iso, seed=s, d=2), basis, cfg).accepted
+        testers.test_perminv(BlackBox(iso, seed=s, d=2), cfg).accepted
         for s in range(400)
     )
     comp_accepts = sum(
-        testers.test_perminv(BlackBox(comp, seed=s, d=2), basis, cfg).accepted
+        testers.test_perminv(BlackBox(comp, seed=s, d=2), cfg).accepted
         for s in range(400)
     )
     expect = 0.75**20
@@ -366,11 +366,10 @@ def test_c10_bound_suites():
             bad["local_construction"] += 1
 
     bad["invariant_construction"] = 0
-    bases = {2: schur.build_schur_transform(2, 2), 3: schur.build_schur_transform(2, 3)}
     for _ in range(100):
         n = int(rng.integers(2, 4))
         M = core.random_measurement(2**n, int(rng.integers(2, 4)), rng)
-        N, bound = metric.nearest_perminv(M, bases[n])
+        N, bound = metric.nearest_perminv(M)
         if N.completeness_residual > 1e-8 or (
             metric.delta_measurement(M, N).delta > bound + 1e-9
         ):
@@ -431,15 +430,13 @@ def test_c11_sampling_mode_equivalence():
             for s in range(runs)
         ) / runs
 
-    basis = schur.build_schur_transform(2, 2)
     comp = comp_basis_measurement(4)
     for mode in ("aggregate", "per_trial"):
         # epsilon 0.2 keeps the scaled iteration count above one, so the two
         # modes traverse genuinely different sampling paths
         cfg = testers.TesterConfig(epsilon=0.2, seed=0, constant_scale=0.01)
         freqs[("perminv", mode)] = sum(
-            testers.test_perminv(BlackBox(comp, seed=s, d=2, sampling=mode), basis,
-                                 cfg).accepted
+            testers.test_perminv(BlackBox(comp, seed=s, d=2, sampling=mode), cfg).accepted
             for s in range(runs)
         ) / runs
 

@@ -199,30 +199,40 @@ class TestSchurIteration:
         basis = schur.build_schur_transform(2, 2)
         iso = schur.isotypic_projectors(basis)
         box = blackbox.BlackBox(iso, seed=8, d=2)
-        assert box.schur_pass_prob(basis) == pytest.approx(1.0)
-        assert all(box.schur_iteration(basis) for _ in range(100))
+        assert box.schur_audit() == pytest.approx(1.0)
+        assert all(box.schur_iteration() for _ in range(100))
         assert box.query_count == 100
 
     def test_trivial_always_passes(self):
-        basis = schur.build_schur_transform(2, 2)
         box = blackbox.BlackBox(core.validate_measurement([np.eye(4)]), seed=9, d=2)
-        assert box.schur_pass_prob(basis) == pytest.approx(1.0)
+        assert box.schur_audit() == pytest.approx(1.0)
 
     def test_compbasis_three_quarters(self):
-        basis = schur.build_schur_transform(2, 2)
         box = blackbox.BlackBox(comp_basis_measurement(4), seed=10, d=2)
-        assert box.schur_pass_prob(basis) == pytest.approx(0.75)
+        assert box.schur_audit() == pytest.approx(0.75)
         draws = 20_000
-        passes = sum(box.schur_iteration(basis) for _ in range(draws))
+        passes = sum(box.schur_iteration() for _ in range(draws))
         assert abs(passes / draws - 0.75) < 3 * math.sqrt(0.75 * 0.25 / draws)
 
-    def test_audit_events_sum_to_pass_prob(self):
-        basis = schur.build_schur_transform(2, 2)
-        box = blackbox.BlackBox(comp_basis_measurement(4), seed=11, d=2)
-        total, events = box.schur_audit(basis)
-        assert sum(events.values()) == pytest.approx(total, abs=1e-12)
-        full = {(shape, i) for shape in basis.shapes for i in range(4)}
-        assert set(events) == full
+    def test_audit_events_sum_to_pass_prob(self, rng):
+        # the per-(shape, outcome) event probabilities v/D |hat_lambda(M_i)|^2
+        # of the Schur basis add up to the twirl's pass probability
+        basis = schur.build_schur_transform(2, 3)
+        meas = core.random_measurement(8, 3, rng)
+        events = {}
+        for i, op in enumerate(meas.operators):
+            for shape, collective in schur.block_decompose(op, basis).per_lambda_hat.items():
+                _, _, v = basis.blocks[shape]
+                events[(shape, i)] = v / basis.D * float(np.vdot(collective, collective).real)
+        box = blackbox.BlackBox(meas, seed=11, d=2)
+        assert sum(events.values()) == pytest.approx(box.schur_audit(), abs=1e-12)
+        assert box.schur_audit() < 1.0
+
+    def test_audit_cached_and_needs_d(self):
+        box = blackbox.BlackBox(comp_basis_measurement(4), seed=12, d=2)
+        assert box.schur_audit() is box.schur_audit()
+        with pytest.raises(ValueError, match="construct the box with d"):
+            blackbox.BlackBox(comp_basis_measurement(4), seed=12).schur_audit()
 
 
 class TestHiddenOverlap:
@@ -308,15 +318,14 @@ class TestSamplingLayer:
             assert box.query_count == 0
 
     def test_first_failure_charges_iterations_run(self):
-        basis = schur.build_schur_transform(2, 2)
-        iso = schur.isotypic_projectors(basis)
+        iso = schur.isotypic_projectors(schur.build_schur_transform(2, 2))
         for mode in blackbox.SAMPLING_MODES:
             box = blackbox.BlackBox(iso, seed=8, d=2, sampling=mode)
-            assert box.sample_first_failure(basis, 30) == 31
+            assert box.sample_first_failure(30) == 31
             assert box.query_count == 30
             for s in range(20):
                 box = blackbox.BlackBox(comp_basis_measurement(4), seed=s, d=2, sampling=mode)
-                first = box.sample_first_failure(basis, 5)
+                first = box.sample_first_failure(5)
                 assert 1 <= first <= 6
                 assert box.query_count == min(first, 5)
 
@@ -328,18 +337,17 @@ class TestSamplingLayer:
         for meas, L in ((comp_basis_measurement(4), 60), (schur.isotypic_projectors(basis), 30)):
             for s in range(40):
                 box = blackbox.BlackBox(meas, seed=s, d=2, sampling="per_trial")
-                first = box.sample_first_failure(basis, L)
+                first = box.sample_first_failure(L)
                 single = blackbox.BlackBox(meas, seed=s, d=2)
-                expected = next((j for j in range(1, L + 1) if not single.schur_iteration(basis)),
+                expected = next((j for j in range(1, L + 1) if not single.schur_iteration()),
                                 L + 1)
                 assert first == expected
                 assert box.query_count == single.query_count == min(expected, L)
 
     def test_per_trial_first_failure_budget(self):
-        basis = schur.build_schur_transform(2, 2)
         box = blackbox.BlackBox(comp_basis_measurement(4), seed=0, d=2, sampling="per_trial")
         state = box.rng.bit_generator.state
         with pytest.raises(blackbox.SampleBudgetExceeded):
-            box.sample_first_failure(basis, 2**63)
+            box.sample_first_failure(2**63)
         assert box.rng.bit_generator.state == state
         assert box.query_count == 0

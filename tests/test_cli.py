@@ -70,6 +70,26 @@ class TestMeasurementFiles:
         with pytest.raises(cli.FileFormatError):
             cli.load_measurement(path)
 
+    @pytest.mark.parametrize("bad", ["1.0", None, [1.0, 0.0, 0.0], [1.0], {"re": 1.0},
+                                     ["1.0", 0.0], [None, 0.0]])
+    def test_malformed_entry(self, capsys, tmp_path, bad):
+        # one bad entry among three good [re, im] pairs of a 2x2 operator
+        path = tmp_path / "bad_entry.json"
+        op = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], bad]
+        path.write_text(json.dumps({"version": 1, "d": 2, "n": 1, "operators": [op]}))
+        with pytest.raises(cli.FileFormatError):
+            cli.load_measurement(path)
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert report["error"].startswith("FileFormatError: ")
+
+    def test_integer_entries_read_as_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        op = [[1, 0], [0, 0], [0, 0], [1, 0]]
+        path.write_text(json.dumps({"version": 1, "d": 2, "n": 1, "operators": [op]}))
+        meas, _, _, _ = cli.load_measurement(path)
+        np.testing.assert_array_equal(meas.operators[0], np.eye(2, dtype=complex))
+
     def test_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -307,6 +327,16 @@ class TestTestCommand:
         assert report["verdict"]["stage_stats"]["pass_prob"] == pytest.approx(0.75)
         assert code in (0, 1)
 
+    def test_perminv_past_the_schur_cap(self, capsys, tmp_path):
+        # n = 7 exceeds the Schur basis's site cap; the twirl has none.  The
+        # site-1 projector pair passes with probability (n + 1)/(2n) = 4/7
+        code, report = run_cli(capsys, "fixtures", "klocal", str(tmp_path), "--n", "7")
+        assert code == 0
+        code, report = run_cli(capsys, "test", "perminv", str(tmp_path / "local1_n7.json"),
+                               "--epsilon", "0.3", "--seed", "1")
+        assert code == 1
+        assert report["verdict"]["stage_stats"]["pass_prob"] == pytest.approx(4 / 7, abs=1e-12)
+
     def test_finite_set(self, capsys, stab_file, stab_file_other):
         code, report = run_cli(
             capsys,
@@ -408,23 +438,24 @@ class TestSchurCommand:
         assert len(calls) == 1
         assert report["residuals"] == calls[0]
 
-    def test_perminv_reuses_cache(self, capsys, tmp_path, monkeypatch):
+    def test_perminv_ignores_cache(self, capsys, tmp_path, monkeypatch):
+        # ``--schur-cache`` is still accepted, but perminv builds, loads and
+        # writes no transform
         cache = tmp_path / "schur_2_3.bin"
         path = tmp_path / "iso.json"
-        basis = schur.build_schur_transform(2, 3)
-        cli.save_measurement(path, schur.isotypic_projectors(basis), 2, 3, {})
-        args = ("test", "perminv", str(path), "--epsilon", "0.3", "--seed", "1",
-                "--schur-cache", str(cache))
-        code, first = run_cli(capsys, *args)
-        assert code == 0 and cache.exists()
+        cli.save_measurement(path, schur.isotypic_projectors(schur.build_schur_transform(2, 3)),
+                             2, 3, {})
 
-        def refuse(d, n):
-            raise AssertionError("the cached transform should be loaded, not rebuilt")
+        def refuse(*args, **kwargs):
+            raise AssertionError("test perminv must not build or load a Schur transform")
 
         monkeypatch.setattr(schur, "build_schur_transform", refuse)
-        code, second = run_cli(capsys, *args)
+        monkeypatch.setattr(cli, "load_schur_cache", refuse)
+        code, report = run_cli(capsys, "test", "perminv", str(path), "--epsilon", "0.3",
+                               "--seed", "1", "--schur-cache", str(cache))
         assert code == 0
-        assert second["verdict"] == first["verdict"]
+        assert report["verdict"]["decision"] == "accept"
+        assert not cache.exists()
 
     def test_cache_round_trip_matches(self, tmp_path):
         basis = schur.build_schur_transform(2, 2)

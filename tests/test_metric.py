@@ -330,24 +330,21 @@ class TestKLocalDistance:
 
 class TestPermInvDistance:
     def test_invariant_input(self):
-        basis = schur.build_schur_transform(2, 2)
-        iso = schur.isotypic_projectors(basis)
-        N, bound = metric.nearest_perminv(iso, basis)
+        iso = schur.isotypic_projectors(schur.build_schur_transform(2, 2))
+        N, bound = metric.nearest_perminv(iso)
         assert bound <= 1e-6
 
     def test_compbasis_bound(self):
-        basis = schur.build_schur_transform(2, 2)
         M = comp_basis_measurement(4)
-        N, bound = metric.nearest_perminv(M, basis)
+        N, bound = metric.nearest_perminv(M)
         # sum of invariant masses is 3, so the bound is sqrt(1 - 3/4)
         assert bound == pytest.approx(0.5, abs=1e-12)
         assert metric.delta_measurement(M, N).delta <= bound + 1e-9
 
     def test_random_inputs_within_bound(self, rng):
-        basis = schur.build_schur_transform(2, 3)
         for _ in range(10):
             M = core.random_measurement(8, 3, rng)
-            N, bound = metric.nearest_perminv(M, basis)
+            N, bound = metric.nearest_perminv(M)
             assert N.completeness_residual <= 1e-8
             assert metric.delta_measurement(M, N).delta <= bound + 1e-9
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmtest import cli, core, schur
+from qmtest import blackbox, cli, core, schur
 
 from conftest import comp_basis_measurement
 
@@ -28,6 +28,18 @@ def loop_permutation_residual(basis) -> float:
             expected[sl, sl] = np.kron(np.eye(w), basis.rep_matrix(p, shape))
         worst = max(worst, float(np.linalg.norm(got - expected)))
     return worst
+
+
+def remainder(A, basis):
+    """R = U A U^dag - hat: the part of A that the invariant projection drops."""
+    bd = schur.block_decompose(A, basis)
+    return bd.hat, basis.U @ A @ basis.U.conj().T - bd.hat
+
+
+def group_average(A, d, n):
+    """The literal (1/n!) sum_p P_p A P_p^dag over all n! permutations."""
+    perms = [schur.permutation_operator(p, d) for p in itertools.permutations(range(n))]
+    return sum(P @ A @ P.T for P in perms) / len(perms)
 
 
 class TestPartitions:
@@ -167,17 +179,15 @@ class TestBlockDecompose:
             schur.permutation_operator(p, 2) @ A @ schur.permutation_operator(p, 2).T
             for p in itertools.permutations(range(3))
         ) / 6
-        bd = schur.block_decompose(sym, basis23)
-        assert np.linalg.norm(bd.tilde) <= 1e-8
-        assert np.linalg.norm(bd.bar) <= 1e-8
+        _, R = remainder(sym, basis23)
+        assert np.linalg.norm(R) <= 1e-8
 
     def test_projector_01(self, basis22):
         A = np.zeros((4, 4), dtype=complex)
         A[1, 1] = 1.0
-        bd = schur.block_decompose(A, basis22)
-        assert np.vdot(bd.hat, bd.hat).real == pytest.approx(0.5, abs=1e-12)
-        assert np.vdot(bd.bar, bd.bar).real == pytest.approx(0.5, abs=1e-12)
-        assert np.linalg.norm(bd.tilde) == pytest.approx(0.0, abs=1e-12)
+        hat, R = remainder(A, basis22)
+        assert np.vdot(hat, hat).real == pytest.approx(0.5, abs=1e-12)
+        assert np.vdot(R, R).real == pytest.approx(0.5, abs=1e-12)
 
     def test_permutation_image(self, basis23):
         # a permutation operator decomposes blockwise with invariant part
@@ -191,21 +201,15 @@ class TestBlockDecompose:
 
     def test_parts_reconstruct_and_orthogonal(self, basis23, rng):
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        bd = schur.block_decompose(A, basis23)
-        rotated = basis23.U @ A @ basis23.U.conj().T
-        np.testing.assert_allclose(bd.hat + bd.tilde + bd.bar, rotated, atol=1e-10)
-        assert abs(np.vdot(bd.hat, bd.tilde)) <= 1e-10
-        assert abs(np.vdot(bd.hat, bd.bar)) <= 1e-10
-        assert abs(np.vdot(bd.tilde, bd.bar)) <= 1e-10
-        assert (
-            np.vdot(bd.hat, bd.hat).real
-            + np.vdot(bd.tilde, bd.tilde).real
-            + np.vdot(bd.bar, bd.bar).real
-        ) == pytest.approx(core.frobenius_norm(A) ** 2, abs=1e-10)
+        hat, R = remainder(A, basis23)
+        assert abs(np.vdot(hat, R)) <= 1e-10
+        assert np.vdot(hat, hat).real + np.vdot(R, R).real == pytest.approx(
+            core.frobenius_norm(A) ** 2, abs=1e-10
+        )
 
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3)])
     def test_invariance_characterization(self, d, n, rng):
-        # commuting with every permutation operator <=> tilde and bar vanish;
+        # commuting with every permutation operator <=> the remainder vanishes;
         # exercised on raw random operators and on their group averages
         basis = schur.build_schur_transform(d, n)
         D = d**n
@@ -215,11 +219,8 @@ class TestBlockDecompose:
             if i % 2:
                 A = sum(P @ A @ P.T for P in perms) / len(perms)
             commutes = all(np.linalg.norm(P @ A - A @ P) <= 1e-10 for P in perms)
-            bd = schur.block_decompose(A, basis)
-            vanishes = (
-                np.linalg.norm(bd.tilde) <= 1e-8 and np.linalg.norm(bd.bar) <= 1e-8
-            )
-            assert commutes == vanishes
+            _, R = remainder(A, basis)
+            assert commutes == (np.linalg.norm(R) <= 1e-8)
 
     def test_hat_norm_below_group_average(self, basis23, rng):
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -231,19 +232,81 @@ class TestBlockDecompose:
         assert np.vdot(hat, hat).real <= np.vdot(avg, avg).real + 1e-10
 
 
+def perminv_defect(M, d):
+    """1 - (1/D) sum_i |twirl(M_i)|^2: the pass probability's shortfall."""
+    return 1.0 - blackbox.BlackBox(M, seed=0, d=d).schur_audit()
+
+
 class TestPermInvDefect:
     def test_invariant_measurement(self, basis22):
         iso = schur.isotypic_projectors(basis22)
-        assert schur.perminv_defect(iso, basis22) == pytest.approx(0.0, abs=1e-12)
+        assert perminv_defect(iso, 2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_trivial_measurement(self, basis22):
+    def test_trivial_measurement(self):
         triv = core.validate_measurement([np.eye(4)])
-        assert schur.perminv_defect(triv, basis22) == pytest.approx(0.0, abs=1e-12)
+        assert perminv_defect(triv, 2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_compbasis_defect(self, basis22):
-        assert schur.perminv_defect(comp_basis_measurement(4), basis22) == pytest.approx(
-            0.25, abs=1e-12
-        )
+    def test_compbasis_defect(self):
+        assert perminv_defect(comp_basis_measurement(4), 2) == pytest.approx(0.25, abs=1e-12)
+
+
+ORACLE_SIZES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (3, 5),
+                (4, 2), (4, 3), (4, 4)]
+
+
+def random_operator(D, rng):
+    return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+
+
+class TestTwirl:
+    @pytest.mark.parametrize("d,n", ORACLE_SIZES)
+    def test_matches_schur_hat(self, d, n, rng):
+        basis = schur.build_schur_transform(d, n)
+        A = random_operator(d**n, rng)
+        U = basis.U
+        expected = U.conj().T @ schur.block_decompose(A, basis).hat @ U
+        np.testing.assert_allclose(schur.twirl(A, d, n), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3),
+                                     (3, 4), (4, 3)])
+    def test_matches_group_average(self, d, n, rng):
+        A = random_operator(d**n, rng)
+        np.testing.assert_allclose(schur.twirl(A, d, n), group_average(A, d, n),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 2)])
+    def test_projection(self, d, n, rng):
+        # idempotent, self-adjoint for <B, A> = tr(B^dag A), and invariant
+        # under every adjacent transposition (which generate S_n)
+        A, B = random_operator(d**n, rng), random_operator(d**n, rng)
+        TA, TB = schur.twirl(A, d, n), schur.twirl(B, d, n)
+        np.testing.assert_allclose(schur.twirl(TA, d, n), TA, rtol=0, atol=1e-12)
+        assert np.vdot(B, TA) == pytest.approx(np.vdot(TB, A), abs=1e-10)
+        for j in range(n - 1):
+            P = schur.permutation_operator(schur._adjacent_transposition(j, n), d)
+            np.testing.assert_allclose(P @ TA, TA @ P, rtol=0, atol=1e-12)
+
+    def test_dimension_checked(self):
+        with pytest.raises(core.DimensionMismatch):
+            schur.twirl(np.eye(8), 2, 2)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 8), (3, 2), (3, 4), (4, 3)])
+    def test_computational_basis_pass_prob(self, d, n):
+        # |twirl(|x><x|)|^2 = 1/|orbit of x|, so the mass is the number of
+        # orbits (types): C(n + d - 1, d - 1) / d^n, 0.75 at (2, 2), 9/256 at (2, 8)
+        ops = [np.diag((np.arange(d**n) == i).astype(complex)) for i in range(d**n)]
+        box = blackbox.BlackBox(core.validate_measurement(ops), seed=0, d=d)
+        expected = math.comb(n + d - 1, d - 1) / d**n
+        assert box.schur_audit() == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_site_projector_pass_prob(self, n):
+        # {|0><0|, |1><1|} on site 1, as ``qmtest fixtures klocal`` writes it:
+        # pass probability (n + 1) / (2n)
+        rest = np.eye(2 ** (n - 1))
+        ops = [np.kron(np.diag([1.0, 0.0]), rest), np.kron(np.diag([0.0, 1.0]), rest)]
+        box = blackbox.BlackBox(core.validate_measurement(ops), seed=0, d=2)
+        assert box.schur_audit() == pytest.approx((n + 1) / (2 * n), abs=1e-12)
 
 
 class TestIsotypicProjectors:

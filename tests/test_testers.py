@@ -230,45 +230,55 @@ class TestKLocalTester:
 
 
 @pytest.fixture(scope="module")
-def basis():
-    return schur.build_schur_transform(2, 2)
-
-
-@pytest.fixture(scope="module")
 def members():
     return testers.FiniteSetSpec.from_members(stab_pair_1q())
 
 
 class TestPermInvTester:
-    def test_accepts_isotypic(self, basis):
-        iso = schur.isotypic_projectors(basis)
+    def test_accepts_isotypic(self):
+        iso = schur.isotypic_projectors(schur.build_schur_transform(2, 2))
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
         for s in range(20):
-            v = testers.test_perminv(BlackBox(iso, seed=s, d=2), basis, cfg)
+            v = testers.test_perminv(BlackBox(iso, seed=s, d=2), cfg)
             assert v.accepted
             assert v.query_count == v.params["L"]
 
-    def test_compbasis_acceptance_rate(self, basis):
+    def test_compbasis_acceptance_rate(self):
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
         accepted = sum(
-            testers.test_perminv(BlackBox(comp_basis_measurement(4), seed=s, d=2), basis, cfg).accepted
+            testers.test_perminv(BlackBox(comp_basis_measurement(4), seed=s, d=2), cfg).accepted
             for s in range(400)
         )
         expect = 0.75**20 * 400
         sigma = math.sqrt(400 * 0.75**20 * (1 - 0.75**20))
         assert abs(accepted - expect) <= 3 * sigma
 
-    def test_per_trial_queries_stop_at_failure(self, basis):
+    def test_per_trial_queries_stop_at_failure(self):
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
         box = BlackBox(comp_basis_measurement(4), seed=3, d=2, sampling="per_trial")
-        v = testers.test_perminv(box, basis, cfg)
+        v = testers.test_perminv(box, cfg)
         if not v.accepted:
             assert v.query_count == v.stage_stats["iterations"] <= v.params["L"]
 
-    def test_pass_prob_recorded(self, basis):
+    def test_pass_prob_recorded(self):
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
-        v = testers.test_perminv(BlackBox(comp_basis_measurement(4), seed=0, d=2), basis, cfg)
+        v = testers.test_perminv(BlackBox(comp_basis_measurement(4), seed=0, d=2), cfg)
         assert v.stage_stats["pass_prob"] == pytest.approx(0.75)
+
+    def test_builds_no_schur_basis(self, monkeypatch, rng):
+        # the tester and the nearest invariant measurement use the twirl alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("the perminv path must not touch a Schur basis")
+
+        for name in ("build_schur_transform", "verify_schur_basis", "block_decompose"):
+            monkeypatch.setattr(schur, name, refuse)
+        meas = core.random_measurement(27, 3, rng)
+        cfg = testers.TesterConfig(epsilon=0.5, seed=0, constant_scale=0.1)
+        for mode in blackbox.SAMPLING_MODES:
+            v = testers.test_perminv(BlackBox(meas, seed=1, d=3, sampling=mode), cfg)
+            assert 0.0 < v.stage_stats["pass_prob"] < 1.0
+        N, bound = metric.nearest_perminv(meas, d=3)
+        assert metric.delta_measurement(meas, N).delta <= bound + 1e-9
 
 
 class TestFiniteSetTester:
