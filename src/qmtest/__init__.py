@@ -23,9 +23,7 @@ from .core import (
 )
 from .pauli import (
     DegenerateLabel,
-    PauliDecomposition,
     PauliLabel,
-    decompose,
     f_T,
     g_T,
     pauli_matrix,
@@ -60,7 +58,7 @@ from .schur import (
     permutation_operator,
     twirl,
 )
-from .blackbox import BlackBox, SampleBudgetExceeded, aggregate_multinomial, chernoff_samples
+from .blackbox import BlackBox, SampleBudgetExceeded, aggregate_multinomial
 from .testers import (
     FiniteSetSpec,
     TesterConfig,

@@ -44,17 +44,6 @@ def _check_budget(n: int) -> None:
         raise SampleBudgetExceeded(f"{n} draws exceed the int64 budget of {MAX_DRAWS}")
 
 
-def chernoff_samples(epsilon: float, delta: float) -> int:
-    """Smallest n with 2 exp(-2 n eps^2) <= delta; 0 when the bound is vacuous."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if delta >= 2:
-        return 0
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))
-
-
 def aggregate_multinomial(L: int, probs, rng: np.random.Generator) -> np.ndarray:
     """Exact multinomial counts for L categorical draws.
 
@@ -103,7 +92,12 @@ class BlackBox:
 
     Testers interact only through the sampling methods; the hidden measurement
     is an implementation detail of the simulation.  ``d`` must be supplied for
-    the label-level samplers (the hidden dimension must be a power of d).
+    the label-level samplers (the hidden dimension must be a power of d), and
+    ``n`` is derived from it.  The box keeps the laws that a run draws from
+    more than once: the outcome law, each outcome's label law and the
+    symmetry-check pass probability.  The joint label law and the sign
+    probabilities are computed on each call, since a tester asks for each
+    of them once.
     """
 
     def __init__(self, measurement: Measurement, seed=None, d: int | None = None,
@@ -118,7 +112,6 @@ class BlackBox:
         self.n = pauli._power_check(measurement.dim, d) if d is not None else None
         self._choi_probs: np.ndarray | None = None
         self._q_dists: dict[int, np.ndarray] = {}
-        self._sign_probs: dict[tuple, float] = {}
         self._pass_prob: float | None = None
 
     @property
@@ -159,7 +152,7 @@ class BlackBox:
         self._require_label_space()
         if outcome not in self._q_dists:
             op = self._hidden.operators[outcome]
-            self._q_dists[outcome] = pauli.q_distribution(op, self.d, self.n)
+            self._q_dists[outcome] = pauli.q_distribution(op, self.d)
         return self._q_dists[outcome]
 
     def label_batch(self, outcome: int, T: int) -> np.ndarray:
@@ -177,18 +170,13 @@ class BlackBox:
             return _chunked_counts(T, q.size, lambda m: self.label_batch(outcome, m))
         return aggregate_multinomial(T, q, self.rng)
 
-    def joint_label_distribution(self) -> np.ndarray:
-        """Law of (outcome, then label) marginalized to labels: sum_i |mu(M_i)|^2."""
-        self._require_label_space()
-        if not hasattr(self, "_xi"):
-            self._xi = pauli.xi_distribution(self._hidden, self.d, self.n)
-        return self._xi
-
     def sample_joint_label_counts(self, L: int) -> np.ndarray:
         """Label counts of L query-then-label rounds; charges L queries.
 
         Per trial, all L queries come first, then the labels of each observed
-        outcome in ascending outcome order.
+        outcome in ascending outcome order.  In aggregate, the counts are one
+        multinomial draw from the law of (outcome, then label) marginalized to
+        labels, sum_i |mu(M_i)|^2.
         """
         self._require_label_space()
         if self.sampling == "per_trial":
@@ -197,7 +185,8 @@ class BlackBox:
             for i in np.nonzero(outcomes)[0]:
                 counts += self.sample_label_counts(int(i), int(outcomes[i]))
             return counts
-        counts = aggregate_multinomial(L, self.joint_label_distribution(), self.rng)
+        xi = pauli.xi_distribution(self._hidden, self.d)
+        counts = aggregate_multinomial(L, xi, self.rng)
         self.query_count += L
         return counts
 
@@ -210,16 +199,13 @@ class BlackBox:
         self._require_label_space()
         if self.d != 2:
             raise ValueError("sign measurement is defined for qubits only")
-        key = (outcome, label.x, label.z)
-        if key not in self._sign_probs:
-            op = self._hidden.operators[outcome]
-            sigma = pauli.pauli_matrix(label)
-            num = float(np.trace((np.eye(self.dim) + sigma) / 2 @ op @ op.conj().T).real)
-            den = float(np.trace(op.conj().T @ op).real)
-            if den < 1e-14:
-                raise ZeroOperator("sign distribution undefined for a zero operator")
-            self._sign_probs[key] = min(max(num / den, 0.0), 1.0)
-        return self._sign_probs[key]
+        op = self._hidden.operators[outcome]
+        sigma = pauli.pauli_matrix(label)
+        num = float(np.trace((np.eye(self.dim) + sigma) / 2 @ op @ op.conj().T).real)
+        den = float(np.trace(op.conj().T @ op).real)
+        if den < 1e-14:
+            raise ZeroOperator("sign distribution undefined for a zero operator")
+        return min(max(num / den, 0.0), 1.0)
 
     def sample_failure_count(self, W: int, p_fail: float) -> int:
         """Failures among W independent checks that each fail with probability

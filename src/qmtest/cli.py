@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import struct
 import sys
 import time
@@ -151,13 +150,6 @@ def emit_report(report: dict) -> str:
     return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("QMTEST_SEED")
-    return int(env) if env else 0
-
-
 def _verdict_payload(v: testers.Verdict) -> dict:
     return {
         "decision": v.decision,
@@ -208,7 +200,7 @@ def _sampling(ns) -> str:
 
 
 def cmd_test(ns, report) -> int:
-    seed = report["seed"] = _default_seed(ns.seed)
+    seed = report["seed"] = ns.seed
     meas, d, n, _ = load_measurement(ns.path)
     cfg = _config_from_flags(ns, seed)
     box = BlackBox(meas, seed=seed, d=d, sampling=_sampling(ns))
@@ -223,9 +215,7 @@ def cmd_test(ns, report) -> int:
     elif ns.property == "finite-set":
         if not ns.set:
             raise ValueError("finite-set test needs at least one --set member")
-        members = testers.FiniteSetSpec.from_members(
-            [load_measurement(p)[0] for p in ns.set]
-        )
+        members = testers.FiniteSetSpec([load_measurement(p)[0] for p in ns.set])
         verdict = testers.test_finite_set(box, members, cfg)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown property {ns.property}")
@@ -234,7 +224,7 @@ def cmd_test(ns, report) -> int:
 
 
 def cmd_estimate(ns, report) -> int:
-    seed = report["seed"] = _default_seed(ns.seed)
+    seed = report["seed"] = ns.seed
     M, _, _, _ = load_measurement(ns.path_a)
     N, _, _, _ = load_measurement(ns.path_b)
     if M.dim != N.dim:
@@ -260,7 +250,7 @@ def cmd_estimate(ns, report) -> int:
 
 
 def make_far_projective_fixture(n: int, seed: int = 3):
-    """Rotated two-outcome projective measurement with a brute-force certificate.
+    """Rotated two-outcome projective measurement with a certified distance.
 
     Rotates the computational +/- projector pair of the first label by a
     seeded random unitary and records the scan over the whole projector-pair
@@ -375,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("property", choices=["stabilizer", "klocal", "perminv", "finite-set"])
     p.add_argument("path")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--set", action="append", default=[],
                    help="finite-set member file (repeatable)")
@@ -390,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--mode", choices=["per-trial", "aggregate"], default="aggregate")

@@ -15,7 +15,6 @@ O(n d^2 D^2) time and O(D^2) memory, with no per-label index or phase tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,16 +118,13 @@ def _contract_sites(T: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
     return T.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
 
 
-@lru_cache(maxsize=32)
 def _support_masks(d: int, n: int) -> np.ndarray:
     """Bitmask of nontrivial sites per label (bit s set iff site s+1 in support)."""
     grid = np.indices((d,) * (2 * n), sparse=True)
     masks = np.zeros((d,) * (2 * n), dtype=np.int64)
     for s in range(n):
         masks |= ((grid[s] != 0) | (grid[n + s] != 0)).astype(np.int64) << s
-    masks = masks.reshape(-1)
-    masks.setflags(write=False)
-    return masks
+    return masks.reshape(-1)
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
@@ -164,28 +160,6 @@ def support(label: PauliLabel) -> set[int]:
     return {s + 1 for s in range(label.n) if label.x[s] or label.z[s]}
 
 
-@dataclass(frozen=True)
-class PauliDecomposition:
-    """Coefficients mu_{x,z}(A) = d^{-n} <sigma_{x,z}, A> in label order."""
-
-    d: int
-    n: int
-    mu: np.ndarray
-
-    def coeff(self, label: PauliLabel) -> complex:
-        return complex(self.mu[label.index()])
-
-    def coeffs(self) -> dict[PauliLabel, complex]:
-        return {
-            label_from_index(i, self.d, self.n): complex(v)
-            for i, v in enumerate(self.mu)
-            if v != 0
-        }
-
-    def reconstruct(self) -> np.ndarray:
-        return matrix_from_mu(self.mu, self.d, self.n)
-
-
 def _power_check(dim: int, d: int) -> int:
     n = 0
     v = dim
@@ -213,19 +187,10 @@ def matrix_from_mu(mu: np.ndarray, d: int, n: int) -> np.ndarray:
     return _contract_sites(np.reshape(mu, (d,) * (2 * n)), _site_matrices(d), n).reshape(D, D)
 
 
-def decompose(A, d: int, n: int | None = None) -> PauliDecomposition:
-    """Expand A in the sigma basis; dimension must equal d^n."""
-    A = as_operator(A)
-    if n is None:
-        n = _power_check(A.shape[0], d)
-    return PauliDecomposition(d=d, n=n, mu=mu_vector(A, d, n))
-
-
-def f_T(A, T: set[int], d: int, n: int | None = None) -> np.ndarray:
+def f_T(A, T: set[int], d: int) -> np.ndarray:
     """Component of A supported on the site subset T (1-based sites)."""
     A = as_operator(A)
-    if n is None:
-        n = _power_check(A.shape[0], d)
+    n = _power_check(A.shape[0], d)
     mu = mu_vector(A, d, n)
     tmask = 0
     for s in T:
@@ -237,10 +202,10 @@ def f_T(A, T: set[int], d: int, n: int | None = None) -> np.ndarray:
     return matrix_from_mu(np.where(keep, mu, 0), d, n)
 
 
-def g_T(A, T: set[int], d: int, n: int | None = None) -> np.ndarray:
+def g_T(A, T: set[int], d: int) -> np.ndarray:
     """Complement A - f_T(A)."""
     A = as_operator(A)
-    return A - f_T(A, T, d, n)
+    return A - f_T(A, T, d)
 
 
 def stabilizer_measurement(a, b) -> Measurement:
@@ -255,23 +220,22 @@ def stabilizer_measurement(a, b) -> Measurement:
     return validate_measurement([(eye + sigma) / 2, (eye - sigma) / 2])
 
 
-def q_distribution(M_i, d: int, n: int | None = None) -> np.ndarray:
+def q_distribution(M_i, d: int) -> np.ndarray:
     """Label distribution |mu_{x,z}(M_i)|^2 / p(M_i) in label order."""
     M_i = as_operator(M_i)
-    if n is None:
-        n = _power_check(M_i.shape[0], d)
+    n = _power_check(M_i.shape[0], d)
     p = choi_prob(M_i)
     if p < 1e-14:
         raise ZeroOperator("q-distribution undefined for a (near-)zero operator")
     weights = np.abs(mu_vector(M_i, d, n)) ** 2
-    # |mu|^2 sums to p(M_i) * d^n / d^n ... directly: sum |mu|^2 = |A|_F^2/d^n = p
+    # by Parseval, sum |mu|^2 = |M_i|_F^2 / d^n = p(M_i); dividing by the
+    # computed sum rather than by p makes the law sum to 1 up to rounding
     return weights / weights.sum()
 
 
-def xi_distribution(meas: Measurement, d: int, n: int | None = None) -> np.ndarray:
+def xi_distribution(meas: Measurement, d: int) -> np.ndarray:
     """Joint label distribution xi_{x,z} = sum_i |mu_{x,z}(M_i)|^2."""
-    if n is None:
-        n = _power_check(meas.dim, d)
+    n = _power_check(meas.dim, d)
     xi = np.zeros(d ** (2 * n))
     for op in meas.operators:
         xi += np.abs(mu_vector(op, d, n)) ** 2

@@ -77,31 +77,20 @@ class Verdict:
 class FiniteSetSpec:
     """Finite family of candidate measurements with their separation.
 
-    ``gamma`` is the minimum pairwise distance; it is recomputed on
-    construction and must match to 1e-10.
+    Both parameters are derived from the members on construction: ``gamma``
+    is the minimum pairwise distance (infinite for a single member) and ``k``
+    the largest outcome count.
     """
 
     members: tuple[Measurement, ...]
-    gamma: float
-    k: int
+    gamma: float = field(init=False)
+    k: int = field(init=False)
 
     def __post_init__(self):
-        recomputed = _min_pairwise_delta(self.members)
-        if abs(recomputed - self.gamma) > 1e-10:
-            raise ValueError(
-                f"stated gamma {self.gamma} != recomputed min distance {recomputed}"
-            )
-        if self.k != max(len(m) for m in self.members):
-            raise ValueError("k must be the maximum outcome count of the members")
-
-    @classmethod
-    def from_members(cls, members) -> "FiniteSetSpec":
-        members = tuple(members)
-        return cls(
-            members=members,
-            gamma=_min_pairwise_delta(members),
-            k=max(len(m) for m in members),
-        )
+        members = tuple(self.members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "gamma", _min_pairwise_delta(members))
+        object.__setattr__(self, "k", max(len(m) for m in members))
 
 
 def _min_pairwise_delta(members) -> float:

@@ -158,7 +158,7 @@ def test_c06_perminv_tester():
 
 def test_c07_finite_set_tester():
     start = time.perf_counter()
-    members = testers.FiniteSetSpec.from_members(stab_pair_1q())
+    members = testers.FiniteSetSpec(stab_pair_1q())
     assert abs(members.gamma - 1 / math.sqrt(2)) <= 1e-10
     U = core.random_unitary(2, np.random.default_rng(14))
     far = core.validate_measurement(
@@ -243,9 +243,8 @@ def _perturbed_projector_cases(rng, count):
         M = core.validate_measurement([op @ inv_sqrt for op in raw])
         mus = []
         for i in (0, 1):
-            dec = pauli.decompose(M.operators[i], 2, n)
-            mus.append((dec.coeff(pauli.PauliLabel((0,) * n, (0,) * n, 2)),
-                        dec.coeff(label)))
+            mu = pauli.mu_vector(M.operators[i], 2, n)
+            mus.append((mu[0], mu[label.index()]))
         gamma = max(abs(abs(mu) ** 2 - 0.25) for pair in mus for mu in pair)
         delta = max(
             0.0,

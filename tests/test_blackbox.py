@@ -9,20 +9,6 @@ from qmtest import blackbox, core, pauli, schur
 from conftest import comp_basis_measurement, overlap_boxes
 
 
-class TestChernoffSamples:
-    def test_printed_value(self):
-        assert blackbox.chernoff_samples(0.1, 0.05) == 185
-
-    def test_vacuous_bound(self):
-        assert blackbox.chernoff_samples(0.5, 2.0) == 0
-        assert blackbox.chernoff_samples(0.5, 3.0) == 0
-
-    def test_halving_epsilon_quadruples(self):
-        base = blackbox.chernoff_samples(0.2, 0.05)
-        finer = blackbox.chernoff_samples(0.1, 0.05)
-        assert base * 3 <= finer <= base * 4 + 4
-
-
 def swap_zero_fraction(overlap: float, copies: int, sampling: str, seed: int) -> float:
     box_m, box_n = overlap_boxes(overlap, sampling)
     assert blackbox.hidden_choi_overlap(box_m, box_n, 0) == pytest.approx(overlap)
@@ -159,7 +145,7 @@ class TestPauliBasisMeasurement:
         for i in np.unique(outcomes):
             hits = int((outcomes == i).sum())
             counts += np.bincount(box.label_batch(int(i), hits), minlength=16)
-        xi = pauli.xi_distribution(meas, 2, 2)
+        xi = pauli.xi_distribution(meas, 2)
         for idx in range(16):
             sigma = math.sqrt(max(xi[idx] * (1 - xi[idx]), 1e-12) / draws)
             assert abs(counts[idx] / draws - xi[idx]) < max(3 * sigma, 1e-3)

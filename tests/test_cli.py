@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qmtest import cli, core, pauli, schur, testers
+from qmtest import cli, core, metric, pauli, schur, testers
 
 from conftest import comp_basis_measurement
 
@@ -275,11 +276,12 @@ class TestTestCommand:
         assert first["verdict"] == second["verdict"]
 
     def test_env_seed_fallback(self, capsys, stab_file, monkeypatch):
+        # no environment variable sets the seed: without --seed it is 0
         monkeypatch.setenv("QMTEST_SEED", "11")
         code, report = run_cli(
             capsys, "test", "stabilizer", str(stab_file), "--epsilon", "0.4"
         )
-        assert report["seed"] == 11
+        assert report["seed"] == 0
 
     def test_klocal(self, capsys, tmp_path):
         rest = np.eye(4)
@@ -401,6 +403,17 @@ class TestFixturesCommand:
         assert code == 0
         doc = json.loads((tmp_path / report["written"][0]).read_text())
         assert float(doc["metadata"]["certified_delta"]) >= 0.4
+
+    def test_far_fixture_past_seven_qubits(self, capsys, tmp_path):
+        # the closed-form scan has no n! step, so n = 7 is certified like n = 2:
+        # the certified delta is the direct distance to the reported nearest pair
+        code, report = run_cli(capsys, "fixtures", "far-stabilizer", str(tmp_path), "--n", "7")
+        assert code == 0
+        meas, _, n, meta = cli.load_measurement(tmp_path / report["written"][0])
+        assert n == 7
+        nearest = pauli.stabilizer_measurement(*ast.literal_eval(meta["nearest_label"]))
+        direct = metric.delta_measurement(meas, nearest).delta
+        assert abs(direct - float(meta["certified_delta"])) <= 1e-12
 
     def test_perminv_fixture(self, capsys, tmp_path):
         code, report = run_cli(capsys, "fixtures", "perminv", str(tmp_path), "--n", "2")

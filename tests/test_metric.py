@@ -57,10 +57,6 @@ class TestDeltaOpNumeric:
         A = random_op(rng, 4)
         assert metric.delta_op_numeric(A, A) == pytest.approx(0.0, abs=1e-7)
 
-    def test_grid_too_small(self):
-        with pytest.raises(ValueError):
-            metric.delta_op_numeric(np.eye(2), np.eye(2), grid=4)
-
 
 class TestDeltaMeasurement:
     def test_identical(self, rng):

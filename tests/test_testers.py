@@ -231,7 +231,7 @@ class TestKLocalTester:
 
 @pytest.fixture(scope="module")
 def members():
-    return testers.FiniteSetSpec.from_members(stab_pair_1q())
+    return testers.FiniteSetSpec(stab_pair_1q())
 
 
 class TestPermInvTester:
@@ -285,10 +285,6 @@ class TestFiniteSetTester:
     def test_gamma_and_k(self, members):
         assert members.gamma == pytest.approx(1 / math.sqrt(2))
         assert members.k == 2
-
-    def test_gamma_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            testers.FiniteSetSpec(members=stab_pair_1q(), gamma=0.5, k=2)
 
     def test_member_accepted(self, members):
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
