@@ -8,29 +8,17 @@ from .core import (
     Measurement,
     QmtestError,
     ZeroOperator,
-    apply_measurement,
-    canonical_phase_align,
     choi_prob,
-    choi_vector,
-    frobenius_norm,
-    haar_random_state,
     hs_inner,
-    maximally_entangled,
-    normalized_choi,
-    random_measurement,
     random_unitary,
     validate_measurement,
 )
 from .pauli import (
     DegenerateLabel,
     PauliLabel,
-    f_T,
-    g_T,
     pauli_matrix,
-    pauli_product_phase,
     q_distribution,
     stabilizer_measurement,
-    support,
 )
 from .metric import (
     DistanceReport,
@@ -38,12 +26,6 @@ from .metric import (
     delta_op,
     delta_op_numeric,
     distance_to_stabilizer_family,
-    fidelity,
-    klocal_distance_lower_bound,
-    nearest_klocal,
-    nearest_perminv,
-    outcome_distance_lower_bound,
-    variational,
 )
 from .schur import (
     BlockDecomposition,
@@ -55,7 +37,6 @@ from .schur import (
     hook_lengths,
     isotypic_projectors,
     partitions,
-    permutation_operator,
     twirl,
 )
 from .blackbox import BlackBox, SampleBudgetExceeded, aggregate_multinomial

@@ -244,9 +244,9 @@ class BlackBox:
         aggregate the geometric first failure is drawn from one uniform by
         inverse transform.
         """
+        _check_budget(L)
         p = self.schur_audit()
         if self.sampling == "per_trial":
-            _check_budget(L)
             for start in range(0, L, CHUNK):
                 failed = np.flatnonzero(~(self.rng.random(min(CHUNK, L - start)) < p))
                 if failed.size:

@@ -50,8 +50,8 @@ class UsageError(QmtestError):
 
 
 def _matrix_to_pairs(op: np.ndarray) -> list:
-    flat = op.reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
+    """Row-major [re, im] pairs of a complex matrix, as Python floats."""
+    return np.stack([op.real, op.imag], axis=-1).reshape(-1, 2).tolist()
 
 
 def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:

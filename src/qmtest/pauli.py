@@ -8,9 +8,9 @@ sampler's category order.
 
 Every coefficient comes from one transform.  A D x D operator (D = d^n) is
 reshaped to a (d,)*2n tensor, and each site's (row, column) pair is
-contracted with the d^2 single-site operators, one ``tensordot`` per site;
-the inverse runs the same contraction on the coefficient tensor.  That costs
-O(n d^2 D^2) time and O(D^2) memory, with no per-label index or phase tables.
+contracted with the d^2 single-site operators, one ``tensordot`` per site.
+That costs O(n d^2 D^2) time and O(D^2) memory, with no per-label index or
+phase tables.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ def label_from_index(idx: int, d: int, n: int) -> PauliLabel:
     return PauliLabel(_index_to_digits(idx // D, d, n), _index_to_digits(idx % D, d, n), d)
 
 
-def all_labels(d: int, n: int) -> list[PauliLabel]:
-    """All d^{2n} labels in lexicographic (x, z) order."""
-    return [label_from_index(i, d, n) for i in range(d ** (2 * n))]
-
-
 @lru_cache(maxsize=None)
 def _site_matrices(d: int) -> np.ndarray:
     """(d, d, d, d) array whose [x, z] entry is the single-site sigma_{x,z}."""
@@ -136,30 +131,6 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
     return out
 
 
-def pauli_product_phase(ab: PauliLabel, cd: PauliLabel) -> complex:
-    """Unit scalar beta with sigma_ab sigma_cd = beta sigma_{a+c, b+d}.
-
-    Computed sitewise from the d x d matrices, so it is correct for either
-    site convention.
-    """
-    if ab.d != cd.d or ab.n != cd.n:
-        raise DimensionMismatch("labels must share d and n")
-    d = ab.d
-    sites = _site_matrices(d)
-    beta = 1.0 + 0j
-    for s in range(ab.n):
-        prod = sites[ab.x[s], ab.z[s]] @ sites[cd.x[s], cd.z[s]]
-        target = sites[(ab.x[s] + cd.x[s]) % d, (ab.z[s] + cd.z[s]) % d]
-        r, c = np.nonzero(target)
-        beta *= prod[r[0], c[0]] / target[r[0], c[0]]
-    return complex(beta)
-
-
-def support(label: PauliLabel) -> set[int]:
-    """1-based site indices where the label acts nontrivially."""
-    return {s + 1 for s in range(label.n) if label.x[s] or label.z[s]}
-
-
 def _power_check(dim: int, d: int) -> int:
     n = 0
     v = dim
@@ -179,33 +150,6 @@ def mu_vector(A, d: int, n: int) -> np.ndarray:
         raise DimensionMismatch(f"operator dim {A.shape[0]} != {d}^{n}")
     table = _site_matrices(d).conj().transpose(2, 3, 0, 1)
     return _contract_sites(A.reshape((d,) * (2 * n)), table, n).reshape(-1) / D
-
-
-def matrix_from_mu(mu: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Inverse of mu_vector: A = sum_l mu_l sigma_l."""
-    D = d**n
-    return _contract_sites(np.reshape(mu, (d,) * (2 * n)), _site_matrices(d), n).reshape(D, D)
-
-
-def f_T(A, T: set[int], d: int) -> np.ndarray:
-    """Component of A supported on the site subset T (1-based sites)."""
-    A = as_operator(A)
-    n = _power_check(A.shape[0], d)
-    mu = mu_vector(A, d, n)
-    tmask = 0
-    for s in T:
-        if not 1 <= s <= n:
-            raise ValueError(f"site {s} outside 1..{n}")
-        tmask |= 1 << (s - 1)
-    masks = _support_masks(d, n)
-    keep = (masks & ~tmask) == 0
-    return matrix_from_mu(np.where(keep, mu, 0), d, n)
-
-
-def g_T(A, T: set[int], d: int) -> np.ndarray:
-    """Complement A - f_T(A)."""
-    A = as_operator(A)
-    return A - f_T(A, T, d)
 
 
 def stabilizer_measurement(a, b) -> Measurement:

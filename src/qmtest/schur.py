@@ -2,8 +2,8 @@
 
 ``twirl`` projects an operator onto the commutant of the site permutations,
 the group average (1/n!) sum_p P_p A P_p^dag, by O(n^2) axis swaps and no
-basis; the permutation-invariance tester and ``metric.nearest_perminv`` use it
-alone.
+basis; the permutation-invariance tester's symmetry check
+(``BlackBox.schur_audit``) uses it alone.
 
 The Schur basis is kept where block labels matter: ``qmtest schur``, the
 isotypic-projector fixtures, and the tests' oracle for the twirl.  For n
@@ -17,7 +17,7 @@ Every basis, built here or read from a cache, goes through one constructor,
 ``SchurBasis.from_unitary``, which lays out the blocks and verifies U.  The
 permutation part of the check runs on the n - 1 adjacent transpositions
 s_j = (j, j+1) alone.  Both p -> U P_p U^dag and p -> (+)_lambda I_w (x)
-rho_lambda(p) are homomorphisms (``permutation_operator`` has
+rho_lambda(p) are homomorphisms (the site permutation unitaries have
 P_{p s} = P_p P_s, and ``_group_representations`` builds
 rho(p s_j) = rho(p) rho(s_j)), and every permutation is a word of at most
 n(n-1)/2 generators, so the generator residuals bound the residual of all n!
@@ -95,22 +95,6 @@ def dim_gl(shape: Partition, d: int) -> int:
     if val.denominator != 1:
         raise ArithmeticError(f"non-integer GL dimension for {shape}, d={d}")
     return int(val)
-
-
-def permutation_operator(perm, d: int) -> np.ndarray:
-    """Unitary relocating site s to site perm[s] (0-based images).
-
-    Sends |i_0,...,i_{n-1}> to the basis state whose digit at perm[s] is i_s.
-    """
-    perm = tuple(int(p) for p in perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    D = d**n
-    rows = _perm_row_map(perm, d)
-    out = np.zeros((D, D))
-    out[rows, np.arange(D)] = 1.0
-    return out
 
 
 def _perm_row_map(perm: tuple[int, ...], d: int) -> np.ndarray:

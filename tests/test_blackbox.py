@@ -6,6 +6,7 @@ from scipy import stats
 
 from qmtest import blackbox, core, pauli, schur
 
+import oracles
 from conftest import comp_basis_measurement, overlap_boxes
 
 
@@ -137,7 +138,7 @@ class TestPauliBasisMeasurement:
 
     def test_joint_law_of_total_probability(self):
         rng = np.random.default_rng(11)
-        meas = core.random_measurement(4, 3, rng)
+        meas = oracles.random_measurement(4, 3, rng)
         box = blackbox.BlackBox(meas, seed=12, d=2)
         draws = 100_000
         counts = np.zeros(16)
@@ -204,7 +205,7 @@ class TestSchurIteration:
         # the per-(shape, outcome) event probabilities v/D |hat_lambda(M_i)|^2
         # of the Schur basis add up to the twirl's pass probability
         basis = schur.build_schur_transform(2, 3)
-        meas = core.random_measurement(8, 3, rng)
+        meas = oracles.random_measurement(8, 3, rng)
         events = {}
         for i, op in enumerate(meas.operators):
             for shape, collective in schur.block_decompose(op, basis).per_lambda_hat.items():
@@ -289,7 +290,7 @@ class TestSamplingLayer:
         assert sum(sizes) == 2 * L
 
     def test_sample_budget_exceeded(self):
-        too_many = 2**63
+        too_many = blackbox.MAX_DRAWS + 1
         for mode in blackbox.SAMPLING_MODES:
             box = blackbox.BlackBox(comp_basis_measurement(4), seed=0, d=2, sampling=mode)
             state = box.rng.bit_generator.state
@@ -297,6 +298,7 @@ class TestSamplingLayer:
                          lambda: box.sample_label_counts(0, too_many),
                          lambda: box.sample_joint_label_counts(too_many),
                          lambda: box.sample_failure_count(too_many, 0.5),
+                         lambda: box.sample_first_failure(too_many),
                          lambda: blackbox.paired_swap_zeros(box, box, 0, too_many, box.rng)):
                 with pytest.raises(blackbox.SampleBudgetExceeded):
                     draw()

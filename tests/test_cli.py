@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qmtest import cli, core, metric, pauli, schur, testers
 
+import oracles
 from conftest import comp_basis_measurement
 
 
@@ -48,7 +49,7 @@ def stab_file_other(tmp_path):
 
 class TestMeasurementFiles:
     def test_round_trip(self, tmp_path, rng):
-        meas = core.random_measurement(4, 3, rng)
+        meas = oracles.random_measurement(4, 3, rng)
         path = tmp_path / "m.json"
         cli.save_measurement(path, meas, 2, 2, {"note": "fixture"})
         loaded, d, n, meta = cli.load_measurement(path)
@@ -359,6 +360,9 @@ class TestTestCommand:
         assert report["verdict"]["params"]["gamma"] is None
 
 
+NOT_FINITE = "ValueError: constant_scale must be positive and finite"
+
+
 class TestEstimateCommand:
     def test_identical(self, capsys, stab_file):
         code, report = run_cli(
@@ -390,6 +394,31 @@ class TestEstimateCommand:
         )
         assert code == 2
         assert report["error"].startswith("SampleBudgetExceeded: ")
+
+    @pytest.mark.parametrize("argv,error", [
+        (("test", "stabilizer", "{a}", "--epsilon", "0.3", "--scale", "nan"), NOT_FINITE),
+        (("test", "stabilizer", "{a}", "--epsilon", "0.3", "--scale", "inf"), NOT_FINITE),
+        # epsilon**p underflows to 0, so the count divides by zero
+        (("test", "stabilizer", "{a}", "--epsilon", "1e-300"), "SampleBudgetExceeded"),
+        (("test", "perminv", "{a}", "--epsilon", "1e-200"), "SampleBudgetExceeded"),
+        (("estimate", "{a}", "{b}", "--epsilon", "1e-90"), "SampleBudgetExceeded"),
+        # the symmetry check of [I, 0] always passes, so aggregate mode draws
+        # one uniform for about 5.6e301 iterations unless the budget is checked
+        (("test", "perminv", "{trivial}", "--epsilon", "0.3", "--scale", "1e300"),
+         "SampleBudgetExceeded"),
+    ], ids=["scale-nan", "scale-inf", "stabilizer-underflow", "perminv-underflow",
+            "estimate-underflow", "perminv-budget"])
+    def test_sample_sizes_that_cannot_run(self, capsys, tmp_path, stab_file, stab_file_other,
+                                          argv, error):
+        trivial = tmp_path / "trivial.json"
+        cli.save_measurement(trivial, core.validate_measurement([np.eye(4), np.zeros((4, 4))]),
+                             2, 2)
+        files = {"a": stab_file, "b": stab_file_other, "trivial": trivial}
+        for mode in ("aggregate", "per-trial"):
+            code, report = run_cli(capsys, *(arg.format(**files) for arg in argv),
+                                   "--mode", mode)
+            assert code == 2
+            assert report["error"].startswith(f"{error}")
 
 
 class TestFixturesCommand:

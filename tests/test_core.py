@@ -5,22 +5,13 @@ import pytest
 
 from qmtest import core, pauli
 
+import oracles
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestNormsAndInner:
-    def test_identity_norm(self):
-        assert core.frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-
-    def test_pauli_x_norm(self):
-        assert core.frobenius_norm(X) == pytest.approx(math.sqrt(2))
-
-    def test_projector_norm(self):
-        # tr(P^dag P) = tr(P) = 1 for the rank-1 projector (I+X)/2
-        P = (np.eye(2) + X) / 2
-        assert core.frobenius_norm(P) == pytest.approx(1.0)
-
     def test_inner_identity(self):
         assert core.hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
 
@@ -34,8 +25,8 @@ class TestNormsAndInner:
         assert core.hs_inner(P, Q) == pytest.approx(0.5)
 
     def test_conjugate_symmetry(self, rng):
-        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A = oracles.random_operator(3, rng)
+        B = oracles.random_operator(3, rng)
         assert core.hs_inner(A, B) == pytest.approx(np.conj(core.hs_inner(B, A)))
 
     def test_dimension_mismatch(self):
@@ -74,15 +65,15 @@ class TestApplyMeasurement:
     def test_plus_state_split(self):
         meas = core.validate_measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
-        probs, posts = core.apply_measurement(meas, plus)
+        probs, posts = oracles.apply_measurement(meas, plus)
         assert probs == pytest.approx([0.5, 0.5])
         assert abs(posts[0][0]) == pytest.approx(1.0)
 
     def test_identity_measurement_density(self, rng):
-        psi = core.haar_random_state(3, rng)
+        psi = oracles.haar_random_state(3, rng)
         rho = np.outer(psi, psi.conj())
         meas = core.validate_measurement([np.eye(3)])
-        probs, posts = core.apply_measurement(meas, rho)
+        probs, posts = oracles.apply_measurement(meas, rho)
         assert probs == pytest.approx([1.0])
         np.testing.assert_allclose(posts[0], rho, atol=1e-12)
 
@@ -90,47 +81,47 @@ class TestApplyMeasurement:
         # measuring a stabilizer projector pair on half of the entangled
         # state splits 1/2 - 1/2
         P = pauli.stabilizer_measurement((1, 0), (0, 1))
-        phi = core.maximally_entangled(4)
-        probs, posts = core.apply_measurement(P, phi)
+        phi = oracles.maximally_entangled(4)
+        probs, posts = oracles.apply_measurement(P, phi)
         assert probs == pytest.approx([0.5, 0.5])
         for i, post in enumerate(posts):
-            expected = core.normalized_choi(P.operators[i])
+            expected = oracles.normalized_choi(P.operators[i])
             overlap = abs(np.vdot(expected, post))
             assert overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_probability_flagged(self):
         meas = core.validate_measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-        probs, posts = core.apply_measurement(meas, np.array([1.0, 0.0]))
+        probs, posts = oracles.apply_measurement(meas, np.array([1.0, 0.0]))
         assert probs == pytest.approx([1.0, 0.0])
         assert posts[1] is None
 
 
 class TestChoi:
     def test_maximally_entangled_dim1(self):
-        np.testing.assert_allclose(core.maximally_entangled(1), [1.0])
+        np.testing.assert_allclose(oracles.maximally_entangled(1), [1.0])
 
     def test_bell_state(self):
-        phi = core.maximally_entangled(2)
+        phi = oracles.maximally_entangled(2)
         np.testing.assert_allclose(phi, [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
 
     def test_d4_amplitudes(self):
-        phi = core.maximally_entangled(4)
+        phi = oracles.maximally_entangled(4)
         hits = phi[np.arange(4) * 4 + np.arange(4)]
         np.testing.assert_allclose(hits, 0.5)
         assert np.linalg.norm(phi) == pytest.approx(1.0)
 
     def test_choi_of_identity(self):
-        np.testing.assert_allclose(core.choi_vector(np.eye(3)), core.maximally_entangled(3))
+        np.testing.assert_allclose(oracles.choi_vector(np.eye(3)), oracles.maximally_entangled(3))
 
     def test_choi_of_x(self):
         np.testing.assert_allclose(
-            core.choi_vector(X), [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0]
+            oracles.choi_vector(X), [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0]
         )
 
     def test_choi_prob_projector(self):
         P = (np.eye(2) + X) / 2
         assert core.choi_prob(P) == pytest.approx(0.5)
-        assert np.linalg.norm(core.choi_vector(P)) ** 2 == pytest.approx(0.5)
+        assert np.linalg.norm(oracles.choi_vector(P)) ** 2 == pytest.approx(0.5)
 
     def test_choi_prob_identity_and_zero(self):
         assert core.choi_prob(np.eye(5)) == pytest.approx(1.0)
@@ -138,40 +129,41 @@ class TestChoi:
 
     def test_choi_inner_product_relation(self, rng):
         for D in (2, 8, 64):
-            A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-            B = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-            lhs = np.vdot(core.choi_vector(A), core.choi_vector(B))
+            A = oracles.random_operator(D, rng)
+            B = oracles.random_operator(D, rng)
+            lhs = np.vdot(oracles.choi_vector(A), oracles.choi_vector(B))
             rhs = core.hs_inner(A, B) / D
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
     def test_normalized_choi(self):
         P = (np.eye(2) + X) / 2
-        np.testing.assert_allclose(core.normalized_choi(P), [0.5, 0.5, 0.5, 0.5])
-        np.testing.assert_allclose(core.normalized_choi(np.eye(2)), core.maximally_entangled(2))
+        np.testing.assert_allclose(oracles.normalized_choi(P), [0.5, 0.5, 0.5, 0.5])
+        np.testing.assert_allclose(oracles.normalized_choi(np.eye(2)),
+                                   oracles.maximally_entangled(2))
 
     def test_normalized_choi_zero(self):
         with pytest.raises(core.ZeroOperator):
-            core.normalized_choi(np.zeros((2, 2)))
+            oracles.normalized_choi(np.zeros((2, 2)))
 
     def test_completeness_through_choi(self, rng):
-        meas = core.random_measurement(8, 3, rng)
+        meas = oracles.random_measurement(8, 3, rng)
         assert sum(core.choi_prob(op) for op in meas.operators) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestHaar:
     def test_dim_one_is_phase(self, rng):
-        psi = core.haar_random_state(1, rng)
+        psi = oracles.haar_random_state(1, rng)
         assert abs(psi[0]) == pytest.approx(1.0)
 
     def test_seed_determinism(self):
-        a = core.haar_random_state(4, np.random.default_rng(5))
-        b = core.haar_random_state(4, np.random.default_rng(5))
+        a = oracles.haar_random_state(4, np.random.default_rng(5))
+        b = oracles.haar_random_state(4, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_first_moment(self):
         # mean of |<0|psi>|^2 is 1/D
         rng = np.random.default_rng(7)
-        states = core.haar_random_states(4, 100_000, rng)
+        states = oracles.haar_random_states(4, 100_000, rng)
         weights = np.abs(states[0]) ** 2
         stderr = weights.std(ddof=1) / math.sqrt(weights.size)
         assert abs(weights.mean() - 0.25) < 3 * stderr
@@ -179,32 +171,32 @@ class TestHaar:
     def test_second_moment_matrix(self):
         rng = np.random.default_rng(8)
         D, S = 4, 100_000
-        states = core.haar_random_states(D, S, rng)
+        states = oracles.haar_random_states(D, S, rng)
         mean_proj = (states @ states.conj().T) / S
         assert np.max(np.abs(mean_proj - np.eye(D) / D)) < 5 / math.sqrt(S)
 
 
 class TestPhaseAlign:
     def test_identity_case(self, rng):
-        M = core.random_measurement(4, 2, rng)
-        aligned = core.canonical_phase_align(M, M)
+        M = oracles.random_measurement(4, 2, rng)
+        aligned = oracles.canonical_phase_align(M, M)
         for a, b in zip(aligned.operators, M.operators):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_pure_phase_removed(self, rng):
-        M = core.random_measurement(4, 2, rng)
+        M = oracles.random_measurement(4, 2, rng)
         shifted = core.Measurement(
             operators=tuple(np.exp(1j * math.pi / 3) * op for op in M.operators),
             completeness_residual=M.completeness_residual,
         )
-        aligned = core.canonical_phase_align(M, shifted)
+        aligned = oracles.canonical_phase_align(M, shifted)
         for a, b in zip(aligned.operators, M.operators):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_random_pair_alignment(self, rng):
-        M = core.random_measurement(4, 3, rng)
-        N = core.random_measurement(4, 3, rng)
-        aligned = core.canonical_phase_align(M, N)
+        M = oracles.random_measurement(4, 3, rng)
+        N = oracles.random_measurement(4, 3, rng)
+        aligned = oracles.canonical_phase_align(M, N)
         for i, op in enumerate(aligned.operators):
             ip = core.hs_inner(M.operators[i], op)
             assert abs(ip.imag) <= 1e-12

