@@ -14,16 +14,24 @@ tester makes goes through one of its ``sample_*`` methods, or through
 ``paired_swap_zeros`` for two boxes side by side.  In ``"aggregate"`` mode a
 run of i.i.d. draws is one exact multinomial or binomial draw, which makes
 the published sample sizes (up to ~1e12) feasible.  In ``"per_trial"`` mode
-each draw is made individually, at most ``CHUNK`` = 2^20 at a time, so memory
-stays bounded; the chunked stream equals the whole-array stream bit for bit,
-generator state afterwards included.  Both modes give the same distribution,
-and per-trial mode is the reference that aggregate mode is checked against.
-A draw count beyond int64 raises ``SampleBudgetExceeded`` before any draw.
+every trial still draws its own uniform from the stream, the one that
+``Generator.choice`` or ``Generator.random`` would draw for it, but no
+outcome index is formed: ``count_below`` counts how many uniforms fall below
+each cut of the law's cdf, and the differences of those counts are the
+per-outcome counts, equal bit for bit to ``bincount(choice(...))``, generator
+state afterwards included.  The uniforms are split into one contiguous span
+per core, each drawn by a PCG64 copy jumped ahead to its start, and at most
+``CHUNK`` = 2^20 of them are held in memory at once, whatever the core
+count.  Both modes give the same distribution, and per-trial mode is the
+reference that aggregate mode is checked against.  A draw count beyond int64
+raises ``SampleBudgetExceeded`` before any draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -33,10 +41,21 @@ from .core import Measurement, QmtestError, ZeroOperator, hs_inner
 SAMPLING_MODES = ("aggregate", "per_trial")
 CHUNK = 1 << 20
 MAX_DRAWS = int(np.iinfo(np.int64).max)
+# above this many cuts, one sort and one search per chunk beat a compare per cut
+SORT_CUTS = 16
+# uniforms compared per pass below that: the block stays in cache across the
+# cuts, and each comparison mask takes BLOCK bytes
+BLOCK = 1 << 16
+# the tolerance ``Generator.choice`` allows on the sum of a law
+_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class SampleBudgetExceeded(QmtestError):
     """A draw count does not fit the generator's int64 counts."""
+
+
+class UnsupportedGenerator(QmtestError):
+    """Per-trial counting jumps ahead in the stream, which needs a PCG64 bit generator."""
 
 
 def _check_budget(n: int) -> None:
@@ -66,22 +85,134 @@ def aggregate_multinomial(L: int, probs, rng: np.random.Generator) -> np.ndarray
     return rng.multinomial(L, probs / total)
 
 
-def _chunked_counts(total: int, size: int, draw) -> np.ndarray:
-    """Category counts of ``total`` per-trial draws, made ``CHUNK`` at a time.
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
-    ``draw(m)`` returns m category indices from the stream.
-    """
-    _check_budget(total)
-    counts = np.zeros(size, dtype=np.int64)
-    for start in range(0, total, CHUNK):
-        counts += np.bincount(draw(min(CHUNK, total - start)), minlength=size)
+
+def _jumped(state: dict, delta: int) -> np.random.PCG64:
+    """A PCG64 stream at ``state`` moved ``delta`` draws ahead."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return bit_generator.advance(delta)
+
+
+def _count_span(bit_generator: np.random.PCG64, size: int, cuts: np.ndarray,
+                buffer: np.ndarray) -> np.ndarray:
+    """How many of the next ``size`` uniforms fall below each of the sorted ``cuts``,
+    drawn into ``buffer`` and counted a buffer at a time."""
+    counts = np.zeros(cuts.size, dtype=np.int64)
+    draw = np.random.Generator(bit_generator).random
+    for start in range(0, size, buffer.size):
+        u = buffer[:min(buffer.size, size - start)]
+        draw(out=u)
+        if cuts.size > SORT_CUTS:
+            u.sort()
+            counts += np.searchsorted(u, cuts)
+        else:
+            for lo in range(0, u.size, BLOCK):
+                block = u[lo:lo + BLOCK]
+                for j, cut in enumerate(cuts):
+                    counts[j] += np.count_nonzero(block < cut)
     return counts
+
+
+def _run_spans(run, workers: int) -> list:
+    """``[run(0), ..., run(workers - 1)]``, with ``run(0)`` inline and the rest on
+    one thread each; an exception raised on a thread is re-raised here."""
+    results = [None] * workers
+    errors = []
+
+    def target(w):
+        try:
+            results[w] = run(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def count_below(total: int, cuts, rng: np.random.Generator) -> np.ndarray:
+    """For each cut c, how many of the next ``total`` uniforms of ``rng`` fall below c.
+
+    Leaves ``rng`` where ``rng.random(total)`` would.  The uniforms are split
+    into one contiguous span per core (a span runs inline when there is one),
+    each drawn from a copy of the stream jumped ahead to the span's start, and
+    at most ``CHUNK`` of them are held at once.  Cuts outside (0, 1) are
+    answered without drawing, and repeated cuts are counted once.
+    """
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    _check_budget(total)
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise UnsupportedGenerator(
+            f"per-trial counting needs a PCG64 stream, not {type(bit_generator).__name__}")
+    cuts = np.asarray(cuts, dtype=np.float64)
+    inside = (cuts > 0.0) & (cuts < 1.0)
+    counts = np.where(cuts >= 1.0, total, 0).astype(np.int64)
+    active = np.unique(cuts[inside])
+    state = bit_generator.state
+    if active.size and total:
+        workers = max(1, min(_cores(), -(-total // CHUNK)))
+        bounds = [total * w // workers for w in range(workers + 1)]
+        # one allocation on the calling thread, a slice per span: the worker
+        # threads allocate nothing large, so their malloc arenas stay small
+        per = max(1, min(CHUNK // workers, -(-total // workers)))
+        buffer = np.empty(workers * per)
+
+        def run(w):
+            span = _jumped(state, bounds[w])
+            return _count_span(span, bounds[w + 1] - bounds[w], active,
+                               buffer[w * per:(w + 1) * per])
+
+        below = np.sum(_run_spans(run, workers), axis=0)
+        counts[inside] = below[np.searchsorted(active, cuts[inside])]
+    bit_generator.advance(total)
+    if state["has_uint32"]:  # ``advance`` drops the buffered half-word; ``random`` keeps it
+        moved = bit_generator.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        bit_generator.state = moved
+    return counts
+
+
+def choice_counts(total: int, p, rng: np.random.Generator) -> np.ndarray:
+    """Counts of ``total`` draws from the law ``p``, equal bit for bit to
+    ``np.bincount(rng.choice(p.size, size=total, p=p), minlength=p.size)``.
+
+    ``choice`` normalizes the cumulative sum of ``p`` and returns, for each
+    uniform u, the first index whose cdf entry exceeds u, so the indices up to
+    j are counted by the uniforms below cdf[j].  The law is checked as
+    ``choice`` checks it, before any draw.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if not abs(float(p.sum()) - 1.0) <= _SUM_TOL:
+        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return np.diff(count_below(total, cdf, rng), prepend=0)
 
 
 def _bernoulli_count(n: int, p: float, rng: np.random.Generator, sampling: str) -> int:
     """Successes among n independent trials that each succeed with probability p."""
     if sampling == "per_trial":
-        return int(_chunked_counts(n, 2, lambda m: rng.random(m) < p)[1])
+        return int(count_below(n, [p], rng)[0])
     _check_budget(n)
     return int(rng.binomial(n, p))
 
@@ -98,6 +229,12 @@ class BlackBox:
     symmetry-check pass probability.  The joint label law and the sign
     probabilities are computed on each call, since a tester asks for each
     of them once.
+
+    Per trial, every draw of outcomes or labels is one ``count_below`` pass
+    over the uniforms that ``rng.choice`` would draw, counted at the cuts of
+    the law's cdf and split across cores in spans of at most ``CHUNK``
+    uniforms in memory; the counts and the stream's end state are those of
+    ``bincount(choice(...))``.
     """
 
     def __init__(self, measurement: Measurement, seed=None, d: int | None = None,
@@ -130,15 +267,20 @@ class BlackBox:
         return self._choi_probs
 
     def query_batch(self, L: int) -> np.ndarray:
-        """L individual queries (one per-trial chunk); returns the outcome sequence."""
-        out = self.rng.choice(self.num_outcomes, size=L, p=self.choi_probs())
+        """Outcome counts of L per-trial queries; charges L queries.
+
+        Draws the L uniforms that ``rng.choice`` would and counts them at the
+        cuts of the outcome law's cdf (``choice_counts``), one span per core
+        with at most ``CHUNK`` uniforms in memory; no outcome index is drawn.
+        """
+        counts = choice_counts(L, self.choi_probs(), self.rng)
         self.query_count += L
-        return out
+        return counts
 
     def sample_outcome_counts(self, L: int) -> np.ndarray:
         """Outcome counts of L entangled queries; charges L queries."""
         if self.sampling == "per_trial":
-            return _chunked_counts(L, self.num_outcomes, self.query_batch)
+            return self.query_batch(L)
         counts = aggregate_multinomial(L, self.choi_probs(), self.rng)
         self.query_count += L
         return counts
@@ -156,19 +298,22 @@ class BlackBox:
         return self._q_dists[outcome]
 
     def label_batch(self, outcome: int, T: int) -> np.ndarray:
-        """T individual label draws (one per-trial chunk) for one branch."""
-        q = self.q_distribution(outcome)
-        return self.rng.choice(q.size, size=T, p=q)
+        """Label counts of T per-trial draws for one branch.
+
+        Draws the T uniforms that ``rng.choice`` would and counts them at the
+        cuts of the branch's label cdf (``choice_counts``), one span per core
+        with at most ``CHUNK`` uniforms in memory; no label index is drawn.
+        """
+        return choice_counts(T, self.q_distribution(outcome), self.rng)
 
     def sample_label_counts(self, outcome: int, T: int) -> np.ndarray:
         """Label counts of T Pauli-basis measurements on one branch's post-state.
 
         These are follow-up measurements: no queries are charged.
         """
-        q = self.q_distribution(outcome)
         if self.sampling == "per_trial":
-            return _chunked_counts(T, q.size, lambda m: self.label_batch(outcome, m))
-        return aggregate_multinomial(T, q, self.rng)
+            return self.label_batch(outcome, T)
+        return aggregate_multinomial(T, self.q_distribution(outcome), self.rng)
 
     def sample_joint_label_counts(self, L: int) -> np.ndarray:
         """Label counts of L query-then-label rounds; charges L queries.

@@ -39,6 +39,11 @@ class InvalidLocality(QmtestError):
     """The locality or outcome bound k is not a positive integer."""
 
 
+class DuplicateMember(QmtestError):
+    """Two members of a finite family are the same measurement, so the family
+    has no separation gamma to test against."""
+
+
 def _check_k(k: int) -> None:
     if k < 1:
         raise InvalidLocality(f"k must be a positive integer, got {k}")
@@ -80,7 +85,8 @@ class FiniteSetSpec:
 
     Both parameters are derived from the members on construction: ``gamma``
     is the minimum pairwise distance (infinite for a single member) and ``k``
-    the largest outcome count.
+    the largest outcome count.  Two members at distance 0 raise
+    ``DuplicateMember``.
     """
 
     members: tuple[Measurement, ...]
@@ -98,7 +104,10 @@ def _min_pairwise_delta(members) -> float:
     best = math.inf
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            best = min(best, metric.delta_measurement(members[i], members[j]).delta)
+            delta = metric.delta_measurement(members[i], members[j]).delta
+            if delta == 0.0:
+                raise DuplicateMember(f"members {i} and {j} are identical (distance 0)")
+            best = min(best, delta)
     return best
 
 

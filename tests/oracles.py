@@ -339,3 +339,20 @@ def permutation_operator(perm, d: int) -> np.ndarray:
 def overlap_copies(epsilon: float, delta: float) -> int:
     """Swap-test repetitions for precision epsilon and confidence 1 - delta."""
     return math.ceil(2 * math.log(2 / delta) / epsilon**4)
+
+
+def per_trial_counts(total: int, p, rng: np.random.Generator, chunk: int) -> np.ndarray:
+    """Category counts of ``total`` draws from the law ``p``, one index drawn per
+    trial by ``rng.choice``, ``chunk`` at a time."""
+    counts = np.zeros(len(p), dtype=np.int64)
+    for start in range(0, total, chunk):
+        drawn = rng.choice(len(p), size=min(chunk, total - start), p=p)
+        counts += np.bincount(drawn, minlength=len(p))
+    return counts
+
+
+def per_trial_successes(total: int, p: float, rng: np.random.Generator, chunk: int) -> int:
+    """Successes among ``total`` trials that each succeed when their uniform is
+    below p, ``chunk`` uniforms at a time."""
+    return sum(int(np.count_nonzero(rng.random(min(chunk, total - start)) < p))
+               for start in range(0, total, chunk))

@@ -1,7 +1,11 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qmtest import blackbox, core, pauli, schur
@@ -100,10 +104,13 @@ class TestChoiQueries:
     def test_stabilizer_box_balanced(self):
         meas = pauli.stabilizer_measurement((1, 0), (0, 1))
         box = blackbox.BlackBox(meas, seed=1, d=2)
-        outcomes = box.query_batch(100_000)
-        frac = (outcomes == 0).mean()
-        assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / 100_000)
+        counts = box.query_batch(100_000)
+        assert counts.sum() == 100_000
+        assert abs(counts[0] / 100_000 - 0.5) < 3 * math.sqrt(0.25 / 100_000)
         assert box.query_count == 100_000
+        expected = oracles.per_trial_counts(100_000, box.choi_probs(),
+                                            np.random.default_rng(1), blackbox.CHUNK)
+        np.testing.assert_array_equal(counts, expected)
 
     def test_seed_reproducibility(self):
         meas = comp_basis_measurement(4)
@@ -141,11 +148,18 @@ class TestPauliBasisMeasurement:
         meas = oracles.random_measurement(4, 3, rng)
         box = blackbox.BlackBox(meas, seed=12, d=2)
         draws = 100_000
-        counts = np.zeros(16)
+        counts = np.zeros(16, dtype=np.int64)
+        expected = np.zeros(16, dtype=np.int64)
         outcomes = box.query_batch(draws)
-        for i in np.unique(outcomes):
-            hits = int((outcomes == i).sum())
-            counts += np.bincount(box.label_batch(int(i), hits), minlength=16)
+        stream = np.random.default_rng(12)
+        np.testing.assert_array_equal(
+            outcomes, oracles.per_trial_counts(draws, box.choi_probs(), stream, blackbox.CHUNK))
+        for i in np.flatnonzero(outcomes):
+            hits = int(outcomes[i])
+            counts += box.label_batch(int(i), hits)
+            expected += oracles.per_trial_counts(hits, box.q_distribution(int(i)), stream,
+                                                 blackbox.CHUNK)
+        np.testing.assert_array_equal(counts, expected)
         xi = pauli.xi_distribution(meas, 2)
         for idx in range(16):
             sigma = math.sqrt(max(xi[idx] * (1 - xi[idx]), 1e-12) / draws)
@@ -260,34 +274,37 @@ class TestSamplingLayer:
         with pytest.raises(ValueError):
             blackbox.BlackBox(comp_basis_measurement(2), sampling="bulk")
 
-    def test_chunk_boundary(self):
+    def test_chunk_boundary(self, monkeypatch):
         # per-trial counts over 3 chunks and a remainder equal one whole-array
-        # draw from the same seed, and leave the generator in the same state
+        # draw from the same seed and leave the generator in the same state,
+        # while the spans together hold at most CHUNK uniforms at once
         L = 3 * blackbox.CHUNK + 5
         meas = comp_basis_measurement(4)
         box = blackbox.BlackBox(meas, seed=31, d=2, sampling="per_trial")
-        sizes = []
+        spans = []
+        count_span = blackbox._count_span
 
-        def recorded(fn):
-            def wrapper(*args):
-                sizes.append(args[-1])
-                return fn(*args)
-            return wrapper
+        def recorded(bit_generator, size, cuts, buffer):
+            spans.append((size, buffer.size))
+            return count_span(bit_generator, size, cuts, buffer)
 
-        box.query_batch = recorded(box.query_batch)
-        box.label_batch = recorded(box.label_batch)
+        monkeypatch.setattr(blackbox, "_count_span", recorded)
         outcomes = box.sample_outcome_counts(L)
         labels = box.sample_label_counts(1, L)
         failures = box.sample_failure_count(L, 0.3)
 
-        whole = blackbox.BlackBox(meas, seed=31, d=2, sampling="per_trial")
-        np.testing.assert_array_equal(outcomes, np.bincount(whole.query_batch(L), minlength=4))
-        np.testing.assert_array_equal(labels, np.bincount(whole.label_batch(1, L), minlength=16))
-        assert failures == int((whole.rng.random(L) < 0.3).sum())
-        assert box.rng.bit_generator.state == whole.rng.bit_generator.state
-        assert box.query_count == whole.query_count == L
-        assert max(sizes) == blackbox.CHUNK
-        assert sum(sizes) == 2 * L
+        whole = np.random.default_rng(31)
+        np.testing.assert_array_equal(
+            outcomes, np.bincount(whole.choice(4, size=L, p=box.choi_probs()), minlength=4))
+        np.testing.assert_array_equal(
+            labels, np.bincount(whole.choice(16, size=L, p=box.q_distribution(1)), minlength=16))
+        assert failures == int((whole.random(L) < 0.3).sum())
+        assert box.rng.bit_generator.state == whole.bit_generator.state
+        assert box.query_count == L
+        workers = len(spans) // 3
+        assert workers == min(blackbox._cores(), 4)
+        assert sum(size for size, _ in spans) == 3 * L
+        assert all(workers * buffer_size <= blackbox.CHUNK for _, buffer_size in spans)
 
     def test_sample_budget_exceeded(self):
         too_many = blackbox.MAX_DRAWS + 1
@@ -339,3 +356,153 @@ class TestSamplingLayer:
             box.sample_first_failure(2**63)
         assert box.rng.bit_generator.state == state
         assert box.query_count == 0
+
+
+@st.composite
+def laws(draw):
+    """Probability vectors with zeros, entries of 1e-30 and point masses."""
+    k = draw(st.sampled_from((1, 2, 3, 16, 17, 256)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = gen.random(k)
+    weights[gen.random(k) < draw(st.sampled_from((0.0, 0.5, 0.95)))] = 0.0
+    weights[gen.random(k) < draw(st.sampled_from((0.0, 0.3)))] = 1e-30
+    if draw(st.sampled_from((False, False, False, True))) or not weights.any():
+        weights[:] = 0.0
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    return weights / weights.sum()
+
+
+def forbid_threads(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker thread was started")
+    monkeypatch.setattr(blackbox.threading, "Thread", no_thread)
+
+
+class TestCountBelow:
+    """``count_below`` and ``choice_counts`` against one index per trial drawn by
+    ``Generator.choice`` and one uniform per trial compared with p."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=laws(), chunk=st.sampled_from((7, 64)), workers=st.integers(1, 4),
+           total=st.sampled_from(("zero", "one", "below", "chunk", "above", "several")),
+           chunks=st.integers(2, 6), success=st.sampled_from((0.0, 1e-30, 0.3, 0.999, 1.0)),
+           seed=st.integers(0, 2**32 - 1), half_word=st.booleans())
+    def test_matches_per_trial_draws(self, p, chunk, workers, total, chunks, success, seed,
+                                     half_word):
+        total = {"zero": 0, "one": 1, "below": chunk - 1, "chunk": chunk, "above": chunk + 1,
+                 "several": chunks * chunk + 3}[total]
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:  # leaves a buffered 32-bit half-word in the generator's state
+            rng.integers(0, 5, dtype=np.int32)
+            oracle.integers(0, 5, dtype=np.int32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blackbox, "CHUNK", chunk)
+            mp.setattr(blackbox, "_cores", lambda: workers)
+            counts = blackbox.choice_counts(total, p, rng)
+            np.testing.assert_array_equal(counts, oracles.per_trial_counts(total, p, oracle, chunk))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            successes = int(blackbox.count_below(total, [success], rng)[0])
+            assert successes == oracles.per_trial_successes(total, success, oracle, chunk)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_every_span_matches(self, monkeypatch, workers):
+        # every span starts exactly where the one before it stops, on the
+        # compare path and on the sort path
+        monkeypatch.setattr(blackbox, "CHUNK", 64)
+        monkeypatch.setattr(blackbox, "_cores", lambda: workers)
+        total = 5 * 64 + 7
+        rng, oracle = np.random.default_rng(17), np.random.default_rng(17)
+        for k in (3, 17, 256):
+            p = np.full(k, 1 / k)
+            np.testing.assert_array_equal(blackbox.choice_counts(total, p, rng),
+                                          oracles.per_trial_counts(total, p, oracle, 64))
+        cuts = np.linspace(0.05, 0.95, 40)
+        below = blackbox.count_below(total, cuts, rng)
+        u = oracle.random(total)
+        np.testing.assert_array_equal(below, [(u < c).sum() for c in cuts])
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        count_span = blackbox._count_span
+
+        def fails_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return count_span(*args)
+
+        monkeypatch.setattr(blackbox, "CHUNK", 8)
+        monkeypatch.setattr(blackbox, "_cores", lambda: 3)
+        monkeypatch.setattr(blackbox, "_count_span", fails_off_main)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="worker failed"):
+            blackbox.count_below(100, [0.5], rng)
+        assert rng.bit_generator.state == state
+
+    def test_checks_before_any_draw(self, monkeypatch):
+        # the budget and the law checks ``choice`` makes come before any thread
+        # or draw: no span is counted and the stream does not move
+        monkeypatch.setattr(blackbox, "CHUNK", 8)
+        monkeypatch.setattr(blackbox, "_cores", lambda: 4)
+        forbid_threads(monkeypatch)
+        monkeypatch.setattr(blackbox, "_count_span", None)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(blackbox.SampleBudgetExceeded):
+            blackbox.count_below(blackbox.MAX_DRAWS + 1, [0.5], rng)
+        with pytest.raises(ValueError, match="non-negative"):
+            blackbox.count_below(-1, [0.5], rng)
+        for p in ([np.nan, 1.0], [-0.1, 1.1], [0.5, 0.5 + 1e-7], [0.5, np.inf], []):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(len(p), size=100, p=p)
+            with pytest.raises(ValueError):
+                blackbox.choice_counts(100, p, rng)
+        assert rng.bit_generator.state == state
+        box = blackbox.BlackBox(comp_basis_measurement(4), seed=0, d=2, sampling="per_trial")
+        with pytest.raises(blackbox.SampleBudgetExceeded):
+            box.query_batch(blackbox.MAX_DRAWS + 1)
+        assert box.query_count == 0
+
+    def test_law_within_tolerance_accepted(self):
+        # ``choice`` allows a sum off 1 by up to sqrt(eps) and so does the count
+        p = [0.5, 0.5 + 1e-9]
+        counts = blackbox.choice_counts(1000, p, np.random.default_rng(4))
+        expected = oracles.per_trial_counts(1000, p, np.random.default_rng(4), blackbox.CHUNK)
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_rejects_other_bit_generators(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(blackbox.UnsupportedGenerator, match="MT19937"):
+            blackbox.count_below(10, [0.5], rng)
+        with pytest.raises(blackbox.UnsupportedGenerator):
+            blackbox.choice_counts(10, [0.5, 0.5], rng)
+        box_m, box_n = overlap_boxes(0.5, "per_trial")
+        with pytest.raises(blackbox.UnsupportedGenerator):
+            blackbox.paired_swap_zeros(box_m, box_n, 0, 10, rng)
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        # one core, or a draw within one chunk, starts no thread
+        forbid_threads(monkeypatch)
+        rng = np.random.default_rng(5)
+        blackbox.count_below(blackbox.CHUNK, [0.5], rng)
+        monkeypatch.setattr(blackbox, "_cores", lambda: 1)
+        blackbox.count_below(3 * blackbox.CHUNK, [0.5], rng)
+        oracle = np.random.default_rng(5)
+        oracle.random(4 * blackbox.CHUNK)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_memory_bounded_by_one_chunk(self, monkeypatch, workers):
+        # 5 chunks of uniforms take about 8 * CHUNK bytes at the peak: one
+        # CHUNK of float64 uniforms shared among the spans, plus small masks
+        monkeypatch.setattr(blackbox, "_cores", lambda: workers)
+        blackbox.count_below(10, [0.5], np.random.default_rng(0))  # one-time allocations
+        for cuts in ([0.3], np.linspace(0.01, 0.99, 5), np.linspace(0.001, 0.999, 300)):
+            tracemalloc.start()
+            try:
+                blackbox.count_below(5 * blackbox.CHUNK, cuts, np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 8 * blackbox.CHUNK <= peak < 8.5 * blackbox.CHUNK

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import threading
 import time
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qmtest import cli, core, metric, pauli, schur, testers
+from qmtest import blackbox, cli, core, metric, pauli, schur, testers
 
 import oracles
 from conftest import comp_basis_measurement
@@ -126,6 +127,26 @@ class TestReports:
         assert code == 2
         assert report["error"] == "RuntimeError: sampler broke"
         assert report["seed"] == 7
+
+    def test_worker_thread_error_exits_2(self, capsys, stab_file, monkeypatch):
+        # a per-trial count split across threads re-raises a worker's error in
+        # the command, which reports it like any other
+        count_span = blackbox._count_span
+
+        def fails_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker broke")
+            return count_span(*args)
+
+        monkeypatch.setattr(blackbox, "CHUNK", 1024)
+        monkeypatch.setattr(blackbox, "_cores", lambda: 2)
+        monkeypatch.setattr(blackbox, "_count_span", fails_off_main)
+        code, report = run_cli(
+            capsys, "test", "stabilizer", str(stab_file), "--epsilon", "0.4", "--seed", "7",
+            "--mode", "per-trial"
+        )
+        assert code == 2
+        assert report["error"] == "RuntimeError: worker broke"
 
     def test_wall_time_covers_the_command(self, capsys, stab_file, monkeypatch):
         def slow(box, cfg):
@@ -349,6 +370,15 @@ class TestTestCommand:
         )
         assert code == 0
         assert report["verdict"]["decision"] == "accept"
+
+    def test_identical_members_refused(self, capsys, stab_file, stab_file_other):
+        # identical members leave the family without a separation gamma
+        code, report = run_cli(
+            capsys, "test", "finite-set", str(stab_file), "--set", str(stab_file_other),
+            "--set", str(stab_file), "--set", str(stab_file), "--epsilon", "0.5"
+        )
+        assert code == 2
+        assert report["error"] == "DuplicateMember: members 1 and 2 are identical (distance 0)"
 
     def test_single_member_set_is_strict_json(self, capsys, stab_file):
         # one member has no pairwise distance: gamma is infinite, written as null

@@ -284,6 +284,15 @@ class TestFiniteSetTester:
         assert members.gamma == pytest.approx(1 / math.sqrt(2))
         assert members.k == 2
 
+    def test_identical_members_refused(self):
+        # a member and a copy of it up to sign are at distance 0
+        z, x, _ = stab_pair_1q()
+        flipped = core.validate_measurement([-op for op in z.operators])
+        for family in ((z, x, z), (x, z, flipped)):
+            with pytest.raises(testers.DuplicateMember, match=r"members \d and 2 are identical"):
+                testers.FiniteSetSpec(family)
+        assert issubclass(testers.DuplicateMember, core.QmtestError)
+
     def test_member_accepted(self, members):
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
         accepted = sum(
