@@ -30,8 +30,8 @@ raises ``SampleBudgetExceeded`` before any draw.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import threading
 
 import numpy as np
 
@@ -119,31 +119,6 @@ def _count_span(bit_generator: np.random.PCG64, size: int, cuts: np.ndarray,
     return counts
 
 
-def _run_spans(run, workers: int) -> list:
-    """``[run(0), ..., run(workers - 1)]``, with ``run(0)`` inline and the rest on
-    one thread each; an exception raised on a thread is re-raised here."""
-    results = [None] * workers
-    errors = []
-
-    def target(w):
-        try:
-            results[w] = run(w)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=target, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        results[0] = run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def count_below(total: int, cuts, rng: np.random.Generator) -> np.ndarray:
     """For each cut c, how many of the next ``total`` uniforms of ``rng`` fall below c.
 
@@ -168,17 +143,24 @@ def count_below(total: int, cuts, rng: np.random.Generator) -> np.ndarray:
     if active.size and total:
         workers = max(1, min(_cores(), -(-total // CHUNK)))
         bounds = [total * w // workers for w in range(workers + 1)]
-        # one allocation on the calling thread, a slice per span: the worker
-        # threads allocate nothing large, so their malloc arenas stay small
+        # one buffer, mapped on the calling thread and sliced per span: a malloc'd
+        # one, once freed, can leave a heap hole that the next call's does not fit
         per = max(1, min(CHUNK // workers, -(-total // workers)))
-        buffer = np.empty(workers * per)
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * workers * per), dtype=np.float64)
 
         def run(w):
             span = _jumped(state, bounds[w])
             return _count_span(span, bounds[w + 1] - bounds[w], active,
                                buffer[w * per:(w + 1) * per])
 
-        below = np.sum(_run_spans(run, workers), axis=0)
+        if workers == 1:
+            below = run(0)
+        else:
+            # imported here: at module load it would add several ms to every command
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(workers - 1) as pool:
+                futures = [pool.submit(run, w) for w in range(1, workers)]
+                below = run(0) + sum(future.result() for future in futures)
         counts[inside] = below[np.searchsorted(active, cuts[inside])]
     bit_generator.advance(total)
     if state["has_uint32"]:  # ``advance`` drops the buffered half-word; ``random`` keeps it

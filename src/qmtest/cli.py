@@ -5,7 +5,19 @@ row-major order.  Reports are canonical, strict JSON (sorted keys, two-space
 indent, non-finite numbers written as null) so a parse/emit round trip is
 byte-identical.  Exit codes: 0 accept/success, 1 reject/violation, 2 error;
 any argument error or exception a command raises is an error, reported as
-``"error"``.
+``"error"``.  Each command takes only the options it reads:
+
+    validate PATH [--tol]
+    distance PATH_A PATH_B
+    test stabilizer|klocal|perminv|finite-set PATH --epsilon [--seed --scale --mode]
+        klocal also needs --k; finite-set needs --set MEMBER, repeatable
+    estimate PATH_A PATH_B --epsilon [--seed --scale --mode --identity]
+    fixtures stabilizer|far-stabilizer|klocal|perminv|compbasis OUT_DIR [--n]
+        far-stabilizer also takes --seed; perminv and compbasis take --d
+    schur D N OUT
+
+``estimate``'s outcome bound is the larger outcome count of its two files, and
+``test perminv`` accepts ``--schur-cache`` and ignores it.
 """
 
 from __future__ import annotations
@@ -204,21 +216,7 @@ def cmd_test(ns, report) -> int:
     meas, d, n, _ = load_measurement(ns.path)
     cfg = _config_from_flags(ns, seed)
     box = BlackBox(meas, seed=seed, d=d, sampling=_sampling(ns))
-    if ns.property == "stabilizer":
-        verdict = testers.test_stabilizer(box, cfg)
-    elif ns.property == "klocal":
-        if ns.k is None:
-            raise ValueError("klocal test needs --k")
-        verdict = testers.test_klocal(box, ns.k, cfg)
-    elif ns.property == "perminv":
-        verdict = testers.test_perminv(box, cfg)
-    elif ns.property == "finite-set":
-        if not ns.set:
-            raise ValueError("finite-set test needs at least one --set member")
-        members = testers.FiniteSetSpec([load_measurement(p)[0] for p in ns.set])
-        verdict = testers.test_finite_set(box, members, cfg)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown property {ns.property}")
+    verdict = ns.tester(ns, box, cfg)
     report["verdict"] = _verdict_payload(verdict)
     return 0 if verdict.accepted else 1
 
@@ -229,7 +227,7 @@ def cmd_estimate(ns, report) -> int:
     N, _, _, _ = load_measurement(ns.path_b)
     if M.dim != N.dim:
         raise DimensionMismatch("measurements live on different dimensions")
-    k = ns.k if ns.k is not None else max(len(M), len(N))
+    k = max(len(M), len(N))
     cfg = _config_from_flags(ns, seed)
     box_m = BlackBox(M, seed=seed, sampling=_sampling(ns))
     box_n = BlackBox(N, seed=seed + 1, sampling=_sampling(ns))
@@ -266,57 +264,54 @@ def make_far_projective_fixture(n: int, seed: int = 3):
 
 
 def cmd_fixtures(ns, report) -> int:
-    report["seed"] = ns.seed
+    report["seed"] = getattr(ns, "seed", None)  # only far-stabilizer takes --seed
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n, d = ns.n, ns.d
     written = []
-    if ns.kind == "stabilizer":
-        for idx in range(1, 4**n):
-            label = pauli.label_from_index(idx, 2, n)
-            meas = pauli.stabilizer_measurement(label.x, label.z)
-            name = f"stabilizer_n{n}_x{''.join(map(str, label.x))}_z{''.join(map(str, label.z))}.json"
-            save_measurement(out_dir / name, meas, 2, n,
-                             {"kind": "stabilizer", "x": label.x, "z": label.z})
-            written.append(name)
-    elif ns.kind == "far-stabilizer":
-        meas, scan = make_far_projective_fixture(n, ns.seed)
-        name = f"far_stabilizer_n{n}_seed{ns.seed}.json"
-        save_measurement(out_dir / name, meas, 2, n, {
-            "kind": "far-stabilizer",
-            "certified_delta": scan.best_delta,
-            "nearest_label": scan.best_label,
-            "swapped_pairing_delta": scan.swapped_delta,
-        })
+    for name, meas, d, metadata in ns.fixtures(ns):
+        save_measurement(out_dir / name, meas, d, ns.n, metadata)
         written.append(name)
-    elif ns.kind == "klocal":
-        eye_rest = np.eye(2 ** (n - 1))
-        ops = [np.kron(np.diag([1.0, 0.0]).astype(complex), eye_rest),
-               np.kron(np.diag([0.0, 1.0]).astype(complex), eye_rest)]
-        meas = validate_measurement(ops)
-        name = f"local1_n{n}.json"
-        save_measurement(out_dir / name, meas, 2, n,
-                         {"kind": "klocal", "support": {1}})
-        written.append(name)
-    elif ns.kind == "perminv":
-        basis = schur.build_schur_transform(d, n)
-        meas = schur.isotypic_projectors(basis)
-        name = f"isotypic_d{d}_n{n}.json"
-        save_measurement(out_dir / name, meas, d, n,
-                         {"kind": "perminv", "blocks": list(basis.shapes)})
-        written.append(name)
-    elif ns.kind == "compbasis":
-        D = d**n
-        ops = [np.diag((np.arange(D) == i).astype(complex)) for i in range(D)]
-        meas = validate_measurement(ops)
-        name = f"compbasis_d{d}_n{n}.json"
-        save_measurement(out_dir / name, meas, d, n, {"kind": "compbasis"})
-        written.append(name)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown fixture kind {ns.kind}")
     report["written"] = written
     report["out_dir"] = str(out_dir)
     return 0
+
+
+def _stabilizer_fixtures(ns):
+    for idx in range(1, 4**ns.n):
+        label = pauli.label_from_index(idx, 2, ns.n)
+        x, z = label.x, label.z
+        yield (f"stabilizer_n{ns.n}_x{''.join(map(str, x))}_z{''.join(map(str, z))}.json",
+               pauli.stabilizer_measurement(x, z), 2, {"kind": "stabilizer", "x": x, "z": z})
+
+
+def _far_stabilizer_fixture(ns):
+    meas, scan = make_far_projective_fixture(ns.n, ns.seed)
+    yield f"far_stabilizer_n{ns.n}_seed{ns.seed}.json", meas, 2, {
+        "kind": "far-stabilizer",
+        "certified_delta": scan.best_delta,
+        "nearest_label": scan.best_label,
+        "swapped_pairing_delta": scan.swapped_delta,
+    }
+
+
+def _klocal_fixture(ns):
+    eye_rest = np.eye(2 ** (ns.n - 1))
+    meas = validate_measurement([np.kron(np.diag([1.0, 0.0]).astype(complex), eye_rest),
+                                 np.kron(np.diag([0.0, 1.0]).astype(complex), eye_rest)])
+    yield f"local1_n{ns.n}.json", meas, 2, {"kind": "klocal", "support": {1}}
+
+
+def _perminv_fixture(ns):
+    basis = schur.build_schur_transform(ns.d, ns.n)
+    yield (f"isotypic_d{ns.d}_n{ns.n}.json", schur.isotypic_projectors(basis), ns.d,
+           {"kind": "perminv", "blocks": list(basis.shapes)})
+
+
+def _compbasis_fixture(ns):
+    D = ns.d**ns.n
+    meas = validate_measurement([np.diag((np.arange(D) == i).astype(complex))
+                                 for i in range(D)])
+    yield f"compbasis_d{ns.d}_n{ns.n}.json", meas, ns.d, {"kind": "compbasis"}
 
 
 def cmd_schur(ns, report) -> int:
@@ -344,6 +339,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _leaf(sub, name: str, parent: argparse.ArgumentParser, **defaults):
+    """Subcommand ``name`` with ``parent``'s arguments, setting ``defaults``."""
+    p = sub.add_parser(name, parents=[parent])
+    p.set_defaults(**defaults)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qmtest",
@@ -361,41 +363,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_b")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("test", help="run a property tester against a measurement file")
-    p.add_argument("property", choices=["stabilizer", "klocal", "perminv", "finite-set"])
-    p.add_argument("path")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--set", action="append", default=[],
-                   help="finite-set member file (repeatable)")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="multiplier on the sample-size constants")
-    p.add_argument("--mode", choices=["per-trial", "aggregate"], default="aggregate")
-    p.add_argument("--schur-cache", default=None,
-                   help="accepted and ignored: perminv builds no Schur basis")
-    p.set_defaults(func=cmd_test)
+    run = _Parser(add_help=False)  # what every tester run reads
+    run.add_argument("--epsilon", type=float, required=True)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--scale", type=float, default=1.0,
+                     help="multiplier on the sample-size constants")
+    run.add_argument("--mode", choices=["per-trial", "aggregate"], default="aggregate")
 
-    p = sub.add_parser("estimate", help="estimate the distance between two black boxes")
+    p = sub.add_parser("test", help="run a property tester against a measurement file")
+    props = p.add_subparsers(dest="property", required=True)
+    tested = _Parser(add_help=False, parents=[run])
+    tested.add_argument("path")
+    tested.set_defaults(func=cmd_test)
+    _leaf(props, "stabilizer", tested,
+          tester=lambda ns, box, cfg: testers.test_stabilizer(box, cfg))
+    q = _leaf(props, "klocal", tested,
+              tester=lambda ns, box, cfg: testers.test_klocal(box, ns.k, cfg))
+    q.add_argument("--k", type=int, required=True, help="the most sites an operator acts on")
+    q = _leaf(props, "perminv", tested, tester=lambda ns, box, cfg: testers.test_perminv(box, cfg))
+    q.add_argument("--schur-cache", help="accepted and ignored: perminv builds no Schur basis; "
+                                         "kept because the perfbench workloads pass it")
+    q = _leaf(props, "finite-set", tested, tester=lambda ns, box, cfg: testers.test_finite_set(
+        box, testers.FiniteSetSpec([load_measurement(p)[0] for p in ns.set]), cfg))
+    q.add_argument("--set", action="append", required=True,
+                   help="family member file (repeatable)")
+
+    p = sub.add_parser("estimate", parents=[run],
+                       help="estimate the distance between two black boxes")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--mode", choices=["per-trial", "aggregate"], default="aggregate")
     p.add_argument("--identity", action="store_true",
                    help="same-or-far decision at the given epsilon")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("fixtures", help="emit canonical measurement fixtures")
-    p.add_argument("kind", choices=["stabilizer", "far-stabilizer", "klocal",
-                                    "perminv", "compbasis"])
-    p.add_argument("out_dir")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, default=3)
-    p.set_defaults(func=cmd_fixtures)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    placed = _Parser(add_help=False)
+    placed.add_argument("out_dir")
+    placed.add_argument("--n", type=int, default=2)
+    placed.set_defaults(func=cmd_fixtures)
+    _leaf(kinds, "stabilizer", placed, fixtures=_stabilizer_fixtures)
+    _leaf(kinds, "far-stabilizer", placed, fixtures=_far_stabilizer_fixture).add_argument(
+        "--seed", type=int, default=3)
+    _leaf(kinds, "klocal", placed, fixtures=_klocal_fixture)
+    _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture).add_argument(
+        "--d", type=int, default=2)
+    _leaf(kinds, "compbasis", placed, fixtures=_compbasis_fixture).add_argument(
+        "--d", type=int, default=2)
 
     p = sub.add_parser("schur", help="build, verify, and cache a Schur transform")
     p.add_argument("d", type=int)

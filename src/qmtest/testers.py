@@ -36,7 +36,7 @@ class GramIllConditioned(QmtestError):
 
 
 class InvalidLocality(QmtestError):
-    """The locality or outcome bound k is not a positive integer."""
+    """The locality or outcome bound k is not positive, or below a box's outcome count."""
 
 
 class DuplicateMember(QmtestError):
@@ -410,6 +410,9 @@ def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
     if box_m.dim != box_n.dim:
         raise DimensionMismatch("boxes live on different dimensions")
     consts = distance_constants(cfg.epsilon, k, cfg.constant_scale)
+    outcomes = max(box_m.num_outcomes, box_n.num_outcomes)
+    if outcomes > k:  # the estimate would drop every outcome at index k or above
+        raise InvalidLocality(f"k = {k} is below the {outcomes} outcomes of the boxes")
     L, T, threshold = consts["L"], consts["T"], consts["threshold"]
     params = {"epsilon": cfg.epsilon, "k": k, "seed": cfg.seed,
               "sampling": shared_sampling(box_m, box_n),

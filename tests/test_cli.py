@@ -170,8 +170,9 @@ def cli_argv(draw, out_dir: Path):
     """A command line over the golden files, well formed or not, sometimes with
     noise tokens inserted at random places.
 
-    Runs stay in aggregate mode, and test and estimate get ``--scale`` at
-    most 1e-3, so every run is quick; fixtures write only under out_dir.
+    Each command gets only the options it reads.  Runs stay in aggregate
+    mode, and test and estimate get ``--scale`` at most 1e-3, so every run is
+    quick; fixtures write only under out_dir.
     """
     path = st.sampled_from(GOLDEN_FILES)
     # repeated entries weigh the draws toward runs that parse and complete
@@ -184,17 +185,23 @@ def cli_argv(draw, out_dir: Path):
         argv = [command, draw(path), draw(path)]
     elif command == "test":
         prop = draw(st.sampled_from(["stabilizer", "klocal", "perminv", "finite-set"]))
-        argv = [command, prop, draw(path), "--epsilon", draw(epsilon), "--k", draw(count)]
-        for member in draw(st.lists(path, max_size=2)):
-            argv += ["--set", member]
+        argv = [command, prop, draw(path), "--epsilon", draw(epsilon)]
+        if prop == "klocal":
+            argv += ["--k", draw(count)]
+        if prop == "finite-set":
+            for member in draw(st.lists(path, min_size=1, max_size=2)):
+                argv += ["--set", member]
     elif command == "estimate":
         argv = [command, draw(path), draw(path), "--epsilon", draw(epsilon)]
         argv += draw(st.sampled_from([[], ["--identity"]]))
     else:
         kind = draw(st.sampled_from(["stabilizer", "far-stabilizer", "klocal", "perminv",
                                      "compbasis"]))
-        argv = [command, kind, str(out_dir), "--n", draw(count),
-                "--d", draw(st.sampled_from(["2", "3"]))]
+        argv = [command, kind, str(out_dir), "--n", draw(count)]
+        if kind in ("perminv", "compbasis"):
+            argv += ["--d", draw(st.sampled_from(["2", "3"]))]
+        if kind == "far-stabilizer":
+            argv += ["--seed", draw(st.sampled_from(["3", "4"]))]
     noise = st.sampled_from(["bogus", "--bogus", "", "-", "--epsilon", "--mode", "--k",
                              "abc", str(out_dir / "missing.json")]) | path
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
@@ -203,6 +210,32 @@ def cli_argv(draw, out_dir: Path):
     if command in ("test", "estimate"):
         argv += ["--scale", draw(st.sampled_from(["1e-3", "1e-4", "1e-6"]))]
     return argv
+
+
+EPS = ("--epsilon", "0.5")
+# (a command line that parses, an option its command does not read)
+UNREAD_OPTIONS = [
+    (("test", "stabilizer", "{a}", *EPS), ("--k", "1")),
+    (("test", "stabilizer", "{a}", *EPS), ("--set", "{a}")),
+    (("test", "stabilizer", "{a}", *EPS), ("--schur-cache", "{cache}")),
+    (("test", "klocal", "{a}", "--k", "1", *EPS), ("--set", "{a}")),
+    (("test", "klocal", "{a}", "--k", "1", *EPS), ("--schur-cache", "{cache}")),
+    (("test", "perminv", "{a}", *EPS), ("--k", "1")),
+    (("test", "perminv", "{a}", *EPS), ("--set", "{a}")),
+    (("test", "finite-set", "{a}", "--set", "{a}", *EPS), ("--k", "1")),
+    (("test", "finite-set", "{a}", "--set", "{a}", *EPS), ("--schur-cache", "{cache}")),
+    (("fixtures", "stabilizer", "{out}"), ("--d", "3")),
+    (("fixtures", "far-stabilizer", "{out}"), ("--d", "3")),
+    (("fixtures", "klocal", "{out}"), ("--d", "3")),
+    (("fixtures", "stabilizer", "{out}"), ("--seed", "5")),
+    (("fixtures", "klocal", "{out}"), ("--seed", "5")),
+    (("fixtures", "perminv", "{out}"), ("--seed", "5")),
+    (("fixtures", "compbasis", "{out}"), ("--seed", "5")),
+    # k is the larger outcome count of the two measurements
+    (("estimate", "{a}", "{b}", *EPS), ("--k", "2")),
+]
+UNREAD_IDS = [" ".join([*(w for w in argv[:2] if "{" not in w), unread[0]])
+              for argv, unread in UNREAD_OPTIONS]
 
 
 class TestArguments:
@@ -219,6 +252,19 @@ class TestArguments:
             cli.main(["test", "--help"])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: qmtest test")
+
+    @pytest.mark.parametrize("argv,unread", UNREAD_OPTIONS, ids=UNREAD_IDS)
+    def test_unread_option_is_refused(self, capsys, tmp_path, stab_file, stab_file_other,
+                                      argv, unread):
+        files = {"a": stab_file, "b": stab_file_other, "out": tmp_path / "out",
+                 "cache": tmp_path / "cache.bin"}
+        argv = [arg.format(**files) for arg in argv]
+        unread = [arg.format(**files) for arg in unread]
+        cli.build_parser().parse_args(argv)  # the line parses without the option
+        code, report = run_cli(capsys, *argv, *unread)
+        assert code == 2
+        assert report["error"] == f"UsageError: unrecognized arguments: {' '.join(unread)}"
+        assert not files["out"].exists()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -323,6 +369,12 @@ class TestTestCommand:
             capsys, "test", "klocal", str(stab_file), "--epsilon", "0.4"
         )
         assert code == 2
+        assert report["error"] == "UsageError: the following arguments are required: --k"
+
+    def test_finite_set_needs_a_member(self, capsys, stab_file):
+        code, report = run_cli(capsys, "test", "finite-set", str(stab_file), "--epsilon", "0.4")
+        assert code == 2
+        assert report["error"] == "UsageError: the following arguments are required: --set"
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_klocal_nonpositive_k(self, capsys, stab_file, k):
@@ -334,13 +386,14 @@ class TestTestCommand:
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_estimate_nonpositive_k(self, capsys, stab_file, stab_file_other, k):
+        # estimate takes k from the two measurements, so any --k is a usage error
         for extra in ((), ("--identity",)):
             code, report = run_cli(
                 capsys, "estimate", str(stab_file), str(stab_file_other), "--k", k,
                 "--epsilon", "0.5", *extra
             )
             assert code == 2
-            assert report["error"] == f"InvalidLocality: k must be a positive integer, got {k}"
+            assert report["error"] == f"UsageError: unrecognized arguments: --k {k}"
 
     def test_perminv_reject(self, capsys, tmp_path):
         path = tmp_path / "comp.json"
@@ -456,10 +509,12 @@ class TestFixturesCommand:
         code, report = run_cli(capsys, "fixtures", "stabilizer", str(tmp_path), "--n", "2")
         assert code == 0
         assert len(report["written"]) == 15  # 4^2 - 1 nonzero labels
+        assert report["seed"] is None  # only far-stabilizer is seeded
 
     def test_far_fixture_has_certificate(self, capsys, tmp_path):
         code, report = run_cli(capsys, "fixtures", "far-stabilizer", str(tmp_path), "--n", "2")
         assert code == 0
+        assert report["seed"] == 3
         doc = json.loads((tmp_path / report["written"][0]).read_text())
         assert float(doc["metadata"]["certified_delta"]) >= 0.4
 

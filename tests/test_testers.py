@@ -464,6 +464,19 @@ class TestIdentityTest:
         )
         assert hits >= 4
 
+    def test_outcome_bound_below_outcome_count_refused(self):
+        # with k = 1 the second outcome would be dropped, and two identical
+        # two-outcome boxes would read as far apart
+        m = pauli.stabilizer_measurement((1,), (0,))
+        cfg = testers.TesterConfig(epsilon=0.5, seed=0)
+        for run in (testers.estimate_distance, testers.test_identity):
+            box_m, box_n = BlackBox(m, seed=0), BlackBox(m, seed=1)
+            state = box_m.rng.bit_generator.state
+            with pytest.raises(testers.InvalidLocality, match="k = 1 is below the 2 outcomes"):
+                run(box_m, box_n, 1, cfg)
+            assert box_m.query_count == box_n.query_count == 0
+            assert box_m.rng.bit_generator.state == state
+
     def test_promise_flagged(self):
         m = pauli.stabilizer_measurement((1,), (0,))
         cfg = testers.TesterConfig(epsilon=0.7, seed=0)
