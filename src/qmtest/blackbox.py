@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import threading
 
 import numpy as np
 
@@ -148,19 +149,26 @@ def count_below(total: int, cuts, rng: np.random.Generator) -> np.ndarray:
         per = max(1, min(CHUNK // workers, -(-total // workers)))
         buffer = np.frombuffer(mmap.mmap(-1, 8 * workers * per), dtype=np.float64)
 
-        def run(w):
-            span = _jumped(state, bounds[w])
-            return _count_span(span, bounds[w + 1] - bounds[w], active,
-                               buffer[w * per:(w + 1) * per])
+        results: list = [None] * workers
 
-        if workers == 1:
-            below = run(0)
-        else:
-            # imported here: at module load it would add several ms to every command
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(workers - 1) as pool:
-                futures = [pool.submit(run, w) for w in range(1, workers)]
-                below = run(0) + sum(future.result() for future in futures)
+        def run(w):
+            try:
+                results[w] = _count_span(_jumped(state, bounds[w]), bounds[w + 1] - bounds[w],
+                                         active, buffer[w * per:(w + 1) * per])
+            except BaseException as exc:  # re-raised on the calling thread
+                results[w] = exc
+
+        # spans 1... on their own threads, span 0 inline
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        run(0)
+        for thread in threads:
+            thread.join()
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        below = sum(results)
         counts[inside] = below[np.searchsorted(active, cuts[inside])]
     bit_generator.advance(total)
     if state["has_uint32"]:  # ``advance`` drops the buffered half-word; ``random`` keeps it

@@ -339,6 +339,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """An option value that must be an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _leaf(sub, name: str, parent: argparse.ArgumentParser, **defaults):
     """Subcommand ``name`` with ``parent``'s arguments, setting ``defaults``."""
     p = sub.add_parser(name, parents=[parent])
@@ -400,16 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p.add_subparsers(dest="kind", required=True)
     placed = _Parser(add_help=False)
     placed.add_argument("out_dir")
-    placed.add_argument("--n", type=int, default=2)
+    placed.add_argument("--n", type=_positive_int, default=2)
     placed.set_defaults(func=cmd_fixtures)
     _leaf(kinds, "stabilizer", placed, fixtures=_stabilizer_fixtures)
     _leaf(kinds, "far-stabilizer", placed, fixtures=_far_stabilizer_fixture).add_argument(
         "--seed", type=int, default=3)
     _leaf(kinds, "klocal", placed, fixtures=_klocal_fixture)
     _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture).add_argument(
-        "--d", type=int, default=2)
+        "--d", type=_positive_int, default=2)
     _leaf(kinds, "compbasis", placed, fixtures=_compbasis_fixture).add_argument(
-        "--d", type=int, default=2)
+        "--d", type=_positive_int, default=2)
 
     p = sub.add_parser("schur", help="build, verify, and cache a Schur transform")
     p.add_argument("d", type=int)

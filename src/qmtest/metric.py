@@ -81,12 +81,10 @@ def delta_op_numeric(A, B) -> float:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Measurement distance with its per-outcome breakdown."""
+    """Measurement distance and its square."""
 
     delta: float
     delta_squared: float
-    per_outcome_terms: np.ndarray
-    method: str = "closed_form"
 
 
 def delta_measurement(M: Measurement, N: Measurement) -> DistanceReport:
@@ -109,24 +107,16 @@ def delta_measurement(M: Measurement, N: Measurement) -> DistanceReport:
             f"distance forms disagree: sum {total} vs closed {closed}"
         )
     dsq = max(closed, 0.0)
-    return DistanceReport(delta=math.sqrt(dsq), delta_squared=dsq, per_outcome_terms=terms)
+    return DistanceReport(delta=math.sqrt(dsq), delta_squared=dsq)
 
 
 def delta_measurement_numeric(M: Measurement, N: Measurement) -> DistanceReport:
     """Oracle counterpart of delta_measurement built from the phase scans."""
     if M.dim != N.dim:
         raise DimensionMismatch("measurements live on different dimensions")
-    count = max(len(M), len(N))
-    terms = np.array(
-        [delta_op_numeric(M.operator(i), N.operator(i)) ** 2 for i in range(count)]
-    )
-    total = float(terms.sum())
-    return DistanceReport(
-        delta=math.sqrt(max(total, 0.0)),
-        delta_squared=total,
-        per_outcome_terms=terms,
-        method="numeric_inf",
-    )
+    total = float(np.sum([delta_op_numeric(M.operator(i), N.operator(i)) ** 2
+                          for i in range(max(len(M), len(N)))]))
+    return DistanceReport(delta=math.sqrt(max(total, 0.0)), delta_squared=total)
 
 
 class StabilizerScan(NamedTuple):

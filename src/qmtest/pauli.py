@@ -56,19 +56,6 @@ class PauliLabel:
     def is_identity(self) -> bool:
         return not any(self.x) and not any(self.z)
 
-    def index(self) -> int:
-        """Position in the lexicographic (x, z) enumeration."""
-        xi = _digits_to_index(self.x, self.d)
-        zi = _digits_to_index(self.z, self.d)
-        return xi * self.d ** self.n + zi
-
-
-def _digits_to_index(digits: tuple[int, ...], d: int) -> int:
-    v = 0
-    for c in digits:
-        v = v * d + c
-    return v
-
 
 def _index_to_digits(v: int, d: int, n: int) -> tuple[int, ...]:
     out = []

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -77,24 +76,23 @@ def hook_lengths(shape: Partition) -> dict[tuple[int, int], int]:
     return hooks
 
 
-def dim_sn(shape: Partition) -> int:
-    """Dimension of the symmetric-group irrep: n! over the hook product."""
-    n = sum(shape)
-    prod = math.prod(hook_lengths(shape).values())
-    dim, rem = divmod(math.factorial(n), prod)
+def _hook_quotient(numerator, shape: Partition) -> int:
+    """prod(numerator) over the hook product of ``shape``, which must divide it."""
+    top, hooks = math.prod(numerator), math.prod(hook_lengths(shape).values())
+    dim, rem = divmod(top, hooks)
     if rem:
-        raise ArithmeticError(f"hook product {prod} does not divide {n}!")
+        raise ArithmeticError(f"hook product {hooks} of {shape} does not divide {top}")
     return dim
 
 
+def dim_sn(shape: Partition) -> int:
+    """Dimension of the symmetric-group irrep: n! over the hook product."""
+    return _hook_quotient(range(1, sum(shape) + 1), shape)
+
+
 def dim_gl(shape: Partition, d: int) -> int:
-    """Dimension of the GL(d) irrep: product of (d + col - row)/hook."""
-    val = Fraction(1)
-    for (i, j), hook in hook_lengths(shape).items():
-        val *= Fraction(d + j - i, hook)
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer GL dimension for {shape}, d={d}")
-    return int(val)
+    """Dimension of the GL(d) irrep: product of (d + col - row) over the hook product."""
+    return _hook_quotient((d + j - i for i, j in hook_lengths(shape)), shape)
 
 
 def _perm_row_map(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -258,23 +256,9 @@ class SchurBasis:
     def D(self) -> int:
         return self.d**self.n
 
-    def index_of(self, shape: Partition, a: int, b: int) -> int:
-        offset, w, v = self.blocks[shape]
-        if not (0 <= a < w and 0 <= b < v):
-            raise ValueError("collective/permutation index out of range")
-        return offset + a * v + b
-
     def block_slice(self, shape: Partition) -> slice:
         offset, w, v = self.blocks[shape]
         return slice(offset, offset + w * v)
-
-    def permutations(self):
-        perms, _ = _group_representations(self.n, self.shapes)
-        return perms
-
-    def rep_matrix(self, perm, shape: Partition) -> np.ndarray:
-        _, reps = _group_representations(self.n, self.shapes)
-        return reps[tuple(perm)][self.shapes.index(shape)]
 
 
 def _block_layout(d: int, n: int) -> tuple[tuple[Partition, ...], dict]:

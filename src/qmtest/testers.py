@@ -1,12 +1,14 @@
 """The measurement property testers and the distance estimator.
 
 Each tester consumes a black box through entangled queries only, uses the
-published sample-size constants, and returns a Verdict carrying the full
-stage bookkeeping.  Physical randomness (query outcomes, measurements on
-post-states) is drawn from the box's stream; tester-apparatus randomness
-(swap tests, the final projective check of the finite-set test) is drawn
-from streams derived from the config seed, so verdicts are reproducible
-given (seed, config).
+published sample-size constants, and returns a Verdict: the stage that
+rejected (None on accept, and the decision is derived from it), the queries
+charged, the stage statistics, and the run parameters that ``_run_params``
+assembles for every report.  Physical randomness (query outcomes,
+measurements on post-states) is drawn from the box's stream;
+tester-apparatus randomness (swap tests, the final projective check of the
+finite-set test) is drawn from streams derived from the config seed, so
+verdicts are reproducible given (seed, config).
 
 The testers never see the sampling mode: every draw is a ``BlackBox``
 sampling method (or ``blackbox.paired_swap_zeros``), and the box decides
@@ -64,19 +66,21 @@ class TesterConfig:
 
 @dataclass
 class Verdict:
-    decision: str
+    """A tester's outcome: ``reject_stage`` names the stage that rejected and is
+    None on accept, so ``decision`` and ``accepted`` are derived from it."""
+
     reject_stage: str | None
     query_count: int
     stage_stats: dict
     params: dict
 
-    def __post_init__(self):
-        if (self.decision == "reject") != (self.reject_stage is not None):
-            raise ValueError("reject_stage must be present exactly when rejecting")
-
     @property
     def accepted(self) -> bool:
-        return self.decision == "accept"
+        return self.reject_stage is None
+
+    @property
+    def decision(self) -> str:
+        return "accept" if self.accepted else "reject"
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,12 @@ def _min_pairwise_delta(members) -> float:
                 raise DuplicateMember(f"members {i} and {j} are identical (distance 0)")
             best = min(best, delta)
     return best
+
+
+def _run_params(cfg: TesterConfig, sampling: str, **extra) -> dict:
+    """A report's ``params``: the config, the sampling mode and the run's ``extra``."""
+    return {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": sampling,
+            "constant_scale": cfg.constant_scale, **extra}
 
 
 def _tester_rng(cfg: TesterConfig, stream: int) -> np.random.Generator:
@@ -161,18 +171,17 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
     consts = stabilizer_constants(cfg.epsilon, cfg.constant_scale)
     L, T, W = consts["L"], consts["T"], consts["W"]
     lo, hi = 0.5 - consts["half_window"], 0.5 + consts["half_window"]
-    params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": box.sampling,
-              "constant_scale": cfg.constant_scale, **consts}
+    params = _run_params(cfg, box.sampling, **consts)
     stats: dict = {}
 
     counts = box.sample_outcome_counts(L)
     stats["outcome_counts"] = counts.tolist()
     if counts[2:].sum() > 0:
-        return Verdict("reject", "outcome_support", box.query_count, stats, params)
+        return Verdict("outcome_support", box.query_count, stats, params)
     frac1 = counts[0] / L
     stats["outcome1_fraction"] = frac1
     if not lo <= frac1 <= hi:
-        return Verdict("reject", "outcome_fraction", box.query_count, stats, params)
+        return Verdict("outcome_fraction", box.query_count, stats, params)
 
     label_counts = [box.sample_label_counts(branch, T) for branch in (0, 1)]
     observed = set(np.nonzero(label_counts[0])[0]) | set(np.nonzero(label_counts[1])[0])
@@ -180,20 +189,18 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
     stats["labels_observed"] = len(observed)
     if len(extra) != 1:
         stats["label_ambiguity"] = len(extra) == 0
-        return Verdict("reject", "pauli_labels", box.query_count, stats, params)
+        return Verdict("pauli_labels", box.query_count, stats, params)
     ab = pauli.label_from_index(extra[0], 2, n)
     stats["ab_label"] = [list(ab.x), list(ab.z)]
     fracs = [label_counts[b][0] / T for b in (0, 1)]
     stats["identity_label_fractions"] = fracs
     if not all(lo <= f <= hi for f in fracs):
-        return Verdict("reject", "pauli_fraction", box.query_count, stats, params)
+        return Verdict("pauli_fraction", box.query_count, stats, params)
 
     fail_probs = (1.0 - box.sign_plus_prob(0, ab), box.sign_plus_prob(1, ab))
     failures = [box.sample_failure_count(W, p_fail) for p_fail in fail_probs]
     stats["sign_failures"] = failures
-    if failures[0] > 0 or failures[1] > 0:
-        return Verdict("reject", "sign_check", box.query_count, stats, params)
-    return Verdict("accept", None, box.query_count, stats, params)
+    return Verdict("sign_check" if any(failures) else None, box.query_count, stats, params)
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +216,18 @@ def klocal_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
 
 def test_klocal(box: BlackBox, k: int, cfg: TesterConfig) -> Verdict:
     """Accepts iff all sampled labels fit inside a k-site window."""
-    if box.d is None:
-        raise ValueError("construct the black box with its qudit dimension d")
     d, n = box.d, box.n
     consts = klocal_constants(cfg.epsilon, k, cfg.constant_scale)
-    L = consts["L"]
-    params = {"epsilon": cfg.epsilon, "k": k, "seed": cfg.seed,
-              "sampling": box.sampling, "constant_scale": cfg.constant_scale, **consts}
+    params = _run_params(cfg, box.sampling, k=k, **consts)
 
-    label_counts = box.sample_joint_label_counts(L)
+    label_counts = box.sample_joint_label_counts(consts["L"])
     masks = pauli._support_masks(d, n)
     union_mask = 0
     for idx in np.nonzero(label_counts)[0]:
         union_mask |= int(masks[idx])
     union = {s + 1 for s in range(n) if union_mask >> s & 1}
     stats = {"support_union": sorted(union), "distinct_labels": int((label_counts > 0).sum())}
-    if len(union) <= k:
-        return Verdict("accept", None, box.query_count, stats, params)
-    return Verdict("reject", "support_size", box.query_count, stats, params)
+    return Verdict(None if len(union) <= k else "support_size", box.query_count, stats, params)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +249,11 @@ def test_perminv(box: BlackBox, cfg: TesterConfig) -> Verdict:
     """
     L = perminv_constants(cfg.epsilon, cfg.constant_scale)["L"]
     p = box.schur_audit()
-    params = {"epsilon": cfg.epsilon, "seed": cfg.seed, "sampling": box.sampling,
-              "constant_scale": cfg.constant_scale, "L": L}
+    params = _run_params(cfg, box.sampling, L=L)
     first_failure = box.sample_first_failure(L)
     stats = {"pass_prob": p, "iterations": min(first_failure, L)}
-    if first_failure > L:
-        return Verdict("accept", None, box.query_count, stats, params)
-    return Verdict("reject", "schur_iteration", box.query_count, stats, params)
+    return Verdict(None if first_failure > L else "schur_iteration", box.query_count, stats,
+                   params)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +314,13 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
     k, m = members.k, len(members.members)
     consts = finite_set_constants(cfg.epsilon, members.gamma, k, m, cfg.constant_scale)
     L, a = consts["L"], consts["a"]
-    params = {"epsilon": cfg.epsilon, "gamma": members.gamma, "k": k, "m": m,
-              "seed": cfg.seed, "sampling": box.sampling,
-              "constant_scale": cfg.constant_scale, "L": L, "a": a}
+    params = _run_params(cfg, box.sampling, gamma=members.gamma, k=k, m=m, L=L, a=a)
     stats: dict = {}
 
     counts = box.sample_outcome_counts(L)
     stats["outcome_counts"] = counts.tolist()
     if counts[k:].sum() > 0:
-        return Verdict("reject", "outcome_support", box.query_count, stats, params)
+        return Verdict("outcome_support", box.query_count, stats, params)
     counts = np.pad(counts, (0, max(0, k - counts.size)))[:k]
 
     surviving = []
@@ -338,7 +335,7 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
             surviving.append(idx)
     stats["surviving_members"] = surviving
     if not surviving:
-        return Verdict("reject", "member_filter", box.query_count, stats, params)
+        return Verdict("member_filter", box.query_count, stats, params)
 
     t = len(surviving)
     gram = np.eye(t, dtype=np.complex128)
@@ -368,9 +365,7 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
     projection = min(max(projection, 0.0), 1.0)
     stats["projection_prob"] = projection
     accept = _tester_rng(cfg, stream=2).random() < projection
-    if accept:
-        return Verdict("accept", None, box.query_count, stats, params)
-    return Verdict("reject", "projection", box.query_count, stats, params)
+    return Verdict(None if accept else "projection", box.query_count, stats, params)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +409,7 @@ def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
     if outcomes > k:  # the estimate would drop every outcome at index k or above
         raise InvalidLocality(f"k = {k} is below the {outcomes} outcomes of the boxes")
     L, T, threshold = consts["L"], consts["T"], consts["threshold"]
-    params = {"epsilon": cfg.epsilon, "k": k, "seed": cfg.seed,
-              "sampling": shared_sampling(box_m, box_n),
-              "constant_scale": cfg.constant_scale, **consts}
+    params = _run_params(cfg, shared_sampling(box_m, box_n), k=k, **consts)
 
     def fractions(box: BlackBox) -> np.ndarray:
         counts = box.sample_outcome_counts(L)
@@ -459,6 +452,4 @@ def test_identity(box_m: BlackBox, box_n: BlackBox, k: int,
     stats["promise_unchecked"] = True
     params = dict(report.params)
     params["epsilon"] = cfg.epsilon
-    if same:
-        return Verdict("accept", None, report.query_count, stats, params)
-    return Verdict("reject", "distance_estimate", report.query_count, stats, params)
+    return Verdict(None if same else "distance_estimate", report.query_count, stats, params)

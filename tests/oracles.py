@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -200,6 +201,15 @@ def outcome_distance_lower_bound(M: Measurement, N: Measurement) -> float:
     return variational(p, q) / math.sqrt(2)
 
 
+def label_index(label: pauli.PauliLabel) -> int:
+    """Position of the label in the lexicographic (x, z) enumeration: the digits
+    of x then z read in base d."""
+    index = 0
+    for digit in label.x + label.z:
+        index = index * label.d + digit
+    return index
+
+
 def all_labels(d: int, n: int) -> list[pauli.PauliLabel]:
     """All d^{2n} labels in lexicographic (x, z) order."""
     return [pauli.label_from_index(i, d, n) for i in range(d ** (2 * n))]
@@ -318,6 +328,39 @@ def nearest_perminv(M: Measurement, d: int = 2) -> tuple[Measurement, float]:
     """
     n = pauli._power_check(M.dim, d)
     return _complete([schur.twirl(op, d, n) for op in M.operators])
+
+
+def hook_content_dims(shape, d: int) -> tuple[Fraction, Fraction]:
+    """(GL(d) dimension, S_n dimension) of ``shape`` in exact rationals: the
+    products of (d + content)/hook and of 1/hook over its boxes, the second
+    times n!, with each hook read off the conjugate partition."""
+    columns = [sum(1 for row in shape if row > j) for j in range(max(shape))]
+    gl = sn = Fraction(1)
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hook = (row - j) + (columns[j] - i) - 1
+            gl *= Fraction(d + j - i, hook)
+            sn /= hook
+    return gl, sn * math.factorial(sum(shape))
+
+
+def schur_index(basis: schur.SchurBasis, shape, a: int, b: int) -> int:
+    """Row of U holding collective index a and permutation index b of block ``shape``."""
+    offset, w, v = basis.blocks[shape]
+    if not (0 <= a < w and 0 <= b < v):
+        raise ValueError("collective/permutation index out of range")
+    return offset + a * v + b
+
+
+def schur_permutations(basis: schur.SchurBasis) -> list[tuple[int, ...]]:
+    """Every permutation of the basis's n sites, in sorted order."""
+    return schur._group_representations(basis.n, basis.shapes)[0]
+
+
+def schur_rep_matrix(basis: schur.SchurBasis, perm, shape) -> np.ndarray:
+    """Young's orthogonal representation of ``perm`` on block ``shape``."""
+    reps = schur._group_representations(basis.n, basis.shapes)[1]
+    return reps[tuple(perm)][basis.shapes.index(shape)]
 
 
 def permutation_operator(perm, d: int) -> np.ndarray:

@@ -238,7 +238,7 @@ def _perturbed_projector_cases(rng, count):
         mus = []
         for i in (0, 1):
             mu = pauli.mu_vector(M.operators[i], 2, n)
-            mus.append((mu[0], mu[label.index()]))
+            mus.append((mu[0], mu[oracles.label_index(label)]))
         gamma = max(abs(abs(mu) ** 2 - 0.25) for pair in mus for mu in pair)
         delta = max(
             0.0,

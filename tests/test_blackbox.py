@@ -1,7 +1,11 @@
 import math
 import mmap
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,15 +134,15 @@ class TestPauliBasisMeasurement:
     def test_projector_labels(self):
         meas = pauli.stabilizer_measurement((1, 1), (0, 0))
         box = blackbox.BlackBox(meas, seed=4, d=2)
-        idx_id = pauli.PauliLabel((0, 0), (0, 0)).index()
-        idx_ab = pauli.PauliLabel((1, 1), (0, 0)).index()
+        idx_id = oracles.label_index(pauli.PauliLabel((0, 0), (0, 0)))
+        idx_ab = oracles.label_index(pauli.PauliLabel((1, 1), (0, 0)))
         counts = box.sample_label_counts(0, 50_000)
         assert set(np.nonzero(counts)[0]) == {idx_id, idx_ab}
         assert abs(counts[idx_id] / 50_000 - 0.5) < 3 * math.sqrt(0.25 / 50_000)
 
     def test_unitary_label_point_mass(self):
         meas = core.validate_measurement([pauli.pauli_matrix(pauli.PauliLabel((1,), (0,)))])
-        idx = pauli.PauliLabel((1,), (0,)).index()
+        idx = oracles.label_index(pauli.PauliLabel((1,), (0,)))
         for mode in blackbox.SAMPLING_MODES:
             box = blackbox.BlackBox(meas, seed=5, d=2, sampling=mode)
             assert np.flatnonzero(box.sample_label_counts(0, 40)).tolist() == [idx]
@@ -173,7 +177,7 @@ class TestPauliBasisMeasurement:
         assert counts.sum() == 10_000
         assert box.query_count == 10_000
         nz = set(np.nonzero(counts)[0])
-        assert nz == {0, pauli.PauliLabel((1, 1, 1), (0, 0, 0)).index()}
+        assert nz == {0, oracles.label_index(pauli.PauliLabel((1, 1, 1), (0, 0, 0)))}
 
 
 class TestSignMeasurement:
@@ -473,6 +477,25 @@ class TestCountBelow:
         box_m, box_n = overlap_boxes(0.5, "per_trial")
         with pytest.raises(blackbox.UnsupportedGenerator):
             blackbox.paired_swap_zeros(box_m, box_n, 0, 10, rng)
+
+    def test_spans_leave_concurrent_futures_unloaded(self):
+        # a fresh interpreter, since any earlier import would already be cached
+        script = "\n".join([
+            "import sys, threading",
+            "import numpy as np",
+            "from qmtest import blackbox",
+            "started = []",
+            "start = threading.Thread.start",
+            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]",
+            "blackbox.CHUNK, blackbox._cores = 8, lambda: 3",
+            "blackbox.count_below(100, [0.5], np.random.default_rng(0))",
+            "assert len(started) == 2, started",
+            "assert 'concurrent.futures' not in sys.modules",
+        ])
+        src = str(Path(blackbox.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
     def test_one_worker_runs_inline(self, monkeypatch):
         # one core, or a draw within one chunk, starts no thread

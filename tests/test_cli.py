@@ -151,7 +151,7 @@ class TestReports:
     def test_wall_time_covers_the_command(self, capsys, stab_file, monkeypatch):
         def slow(box, cfg):
             time.sleep(0.05)
-            return testers.Verdict("accept", None, 0, {}, {})
+            return testers.Verdict(None, 0, {}, {})
 
         monkeypatch.setattr(testers, "test_stabilizer", slow)
         code, report = run_cli(
@@ -540,6 +540,22 @@ class TestFixturesCommand:
         assert code == 0
         code, _ = run_cli(capsys, "fixtures", "compbasis", str(tmp_path), "--n", "2")
         assert code == 0
+
+    # each once exited 0 writing nothing, or 2 with an error naming no option
+    @pytest.mark.parametrize("kind,option,value", [
+        ("stabilizer", "--n", "0"),
+        ("stabilizer", "--n", "-1"),
+        ("klocal", "--n", "0"),
+        ("compbasis", "--d", "0"),
+        ("far-stabilizer", "--n", "0"),
+        ("perminv", "--d", "0"),
+    ])
+    def test_size_below_one_is_a_usage_error(self, capsys, tmp_path, kind, option, value):
+        out = tmp_path / "out"
+        code, report = run_cli(capsys, "fixtures", kind, str(out), option, value)
+        assert code == 2
+        assert report["error"].startswith(f"UsageError: argument {option}: ")
+        assert not out.exists()
 
 
 class TestSchurCommand:

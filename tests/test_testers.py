@@ -26,11 +26,13 @@ class TestConfigAndVerdict:
         with pytest.raises(TypeError):
             testers.TesterConfig(epsilon=0.5, sampling="aggregate")
 
-    def test_verdict_stage_consistency(self):
-        with pytest.raises(ValueError):
-            testers.Verdict("accept", "stage", 0, {}, {})
-        with pytest.raises(ValueError):
-            testers.Verdict("reject", None, 0, {}, {})
+    def test_verdict_decision_follows_reject_stage(self):
+        accepted = testers.Verdict(None, 0, {}, {})
+        assert (accepted.decision, accepted.accepted) == ("accept", True)
+        rejected = testers.Verdict("stage", 0, {}, {})
+        assert (rejected.decision, rejected.accepted) == ("reject", False)
+        with pytest.raises(TypeError):  # the decision is not an argument
+            testers.Verdict("accept", None, 0, {}, {})
 
 
 class TestConstants:
@@ -225,6 +227,15 @@ class TestKLocalTester:
         cfg = testers.TesterConfig(epsilon=0.4, seed=0)
         v = testers.test_klocal(BlackBox(meas, seed=0, d=3), 1, cfg)
         assert v.accepted
+
+    @pytest.mark.parametrize("mode", blackbox.SAMPLING_MODES)
+    def test_box_without_d_is_refused_before_any_draw(self, mode):
+        box = BlackBox(one_local_measurement(3), seed=0, sampling=mode)
+        state = box.rng.bit_generator.state
+        with pytest.raises(ValueError, match="construct the box with d"):
+            testers.test_klocal(box, 1, testers.TesterConfig(epsilon=0.4))
+        assert box.query_count == 0
+        assert box.rng.bit_generator.state == state
 
 
 @pytest.fixture(scope="module")
