@@ -1,11 +1,18 @@
 """Command-line front end: file formats, fixtures, test runs, JSON reports.
 
-Measurement files are JSON with complex entries as [re, im] pairs in
-row-major order.  Reports are canonical, strict JSON (sorted keys, two-space
-indent, non-finite numbers written as null) so a parse/emit round trip is
-byte-identical.  Exit codes: 0 accept/success, 1 reject/violation, 2 error;
-any argument error or exception a command raises is an error, reported as
-``"error"``.  Each command takes only the options it reads:
+Measurement files are JSON objects with the fields ``version`` (1), ``d``,
+``n``, ``operators`` and ``metadata``.  ``operators`` is a non-empty list of
+operators, each a list of (d**n)**2 [re, im] number pairs in row-major order.
+The reader parses every other field with json's own scanner and decodes
+``operators`` straight from the file's bytes with numpy.  It refuses whatever
+json refuses, and also NaN, Infinity, true, false and blank entries; it reads
+the spellings +1, .5, 1. and 01, which JSON forbids, as numbers.
+
+Reports are canonical, strict JSON (sorted keys, two-space indent, non-finite
+numbers written as null) so a parse/emit round trip is byte-identical.  Exit
+codes: 0 accept/success, 1 reject/violation, 2 error; any argument error or
+exception a command raises is an error, reported as ``"error"``.  Each command
+takes only the options it reads:
 
     validate PATH [--tol]
     distance PATH_A PATH_B
@@ -25,9 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import struct
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +54,13 @@ from .core import (
 )
 
 FILE_VERSION = 1
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_TRIPLE_CLOSE = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*\]")
+_WHITESPACE_BYTES = b" \t\n\r"
+_NUMBER_BYTES = b"0123456789.eE+-"
+# number characters as n, brackets and commas as s
+_ENTRIES = bytes.maketrans(_NUMBER_BYTES + b"[,]", b"n" * len(_NUMBER_BYTES) + b"sss")
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 SCHUR_MAGIC = b"QMSCHURB"
 SCHUR_VERSION = 1
 
@@ -66,18 +82,6 @@ def _matrix_to_pairs(op: np.ndarray) -> list:
     return np.stack([op.real, op.imag], axis=-1).reshape(-1, 2).tolist()
 
 
-def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
-    """A dim x dim complex matrix from row-major [re, im] number pairs."""
-    try:
-        arr = np.array(pairs)
-    except ValueError as exc:  # ragged pairs
-        raise FileFormatError(f"operator entries are not [re, im] pairs: {exc}") from exc
-    if arr.shape != (dim * dim, 2) or arr.dtype.kind not in "biuf":
-        raise FileFormatError(f"operator needs {dim * dim} [re, im] number pairs, "
-                              f"got {arr.dtype} entries of shape {arr.shape}")
-    return arr.astype(float).view(complex).reshape(dim, dim)
-
-
 def save_measurement(path, meas: Measurement, d: int, n: int, metadata: dict | None = None):
     doc = {
         "version": FILE_VERSION,
@@ -89,26 +93,135 @@ def save_measurement(path, meas: Measurement, d: int, n: int, metadata: dict | N
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
-    """Parse and validate a measurement file; returns (measurement, d, n, metadata)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != FILE_VERSION:
+def _fields(text: str) -> dict:
+    """The fields of the JSON object ``text``, with ``operators`` left undecoded.
+
+    Keys and every other value go through json's own scanner, and the walk is as
+    strict as ``json.loads``; the last of duplicate keys wins.  An ``operators``
+    value that opens a list maps to the slice of ``text`` that holds it: the list
+    ends at the first ``]]]`` (whitespace allowed between the brackets), because a
+    valid one is nested exactly three deep.
+    """
+    scan = json.JSONDecoder().scan_once
+
+    def skip(i):
+        return _WHITESPACE.match(text, i).end()
+
+    def expect(char, i):
+        if not text.startswith(char, i):
+            raise ValueError(f"expected {char!r} at char {i}")
+        return skip(i + 1)
+
+    def value(i):
+        try:
+            return scan(text, i)
+        except StopIteration:
+            raise ValueError(f"expected a value at char {i}") from None
+
+    fields = {}
+    i = expect("{", skip(0))
+    more = not text.startswith("}", i)
+    while more:
+        if not text.startswith('"', i):
+            raise ValueError(f"expected a key at char {i}")
+        key, i = value(i)
+        i = expect(":", skip(i))
+        earlier = fields.get(key)
+        if isinstance(earlier, slice) and value(earlier.start)[1] != earlier.stop:
+            raise ValueError(f"the operators value at char {earlier.start} is not JSON")
+        if key == "operators" and text.startswith("[", i):
+            close = _TRIPLE_CLOSE.search(text, i)
+            if close is None:
+                raise ValueError(f"the operators value at char {i} has no closing ']]]'")
+            fields[key], i = slice(i, close.end()), close.end()
+        else:
+            fields[key], i = value(i)
+        i = skip(i)
+        more = text.startswith(",", i)
+        if more:
+            i = skip(i + 1)
+    i = expect("}", i)
+    if i != len(text):
+        raise ValueError(f"extra data at char {i}")
+    return fields
+
+
+def _skeleton(k: int, pairs: int) -> bytes:
+    """What is left of a list of k operators of ``pairs`` [re, im] pairs once
+    its numbers and whitespace are deleted."""
+    operator = b"[[,]" + b",[,]" * (pairs - 1) + b"]"
+    return b"[" + b",".join([operator] * k) + b"]"
+
+
+def _operator_count(data: bytes, pairs: int, path) -> int:
+    """How many operators of ``pairs`` entries the bytes of an operators list hold.
+
+    Deleting number characters and whitespace must leave exactly the list's
+    skeleton: ``[`` + k >= 1 operators ``[[,],...,[,]]`` joined by commas + ``]``.
+    No entry may be blank either, because numpy's parser reads a blank entry
+    between commas as -1.
+    """
+    skeleton = data.translate(None, _NUMBER_BYTES + _WHITESPACE_BYTES)
+    k, rest = divmod(len(skeleton) - 1, 4 * pairs + 2)
+    if k < 1 or rest or skeleton != _skeleton(k, pairs):
         raise FileFormatError(
-            f"{path}: unknown or missing file version {doc.get('version')!r}"
+            f"{path}: operators must be a non-empty list of lists of {pairs} [re, im] pairs")
+    del skeleton
+    # an entry opens where a bracket or comma meets a number character
+    if data.translate(_ENTRIES, _WHITESPACE_BYTES).count(b"sn") != 2 * k * pairs:
+        raise FileFormatError(f"{path}: an operator entry is blank")
+    return k
+
+
+def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
+    """Parse and validate a measurement file; returns (measurement, d, n, metadata).
+
+    The operators are decoded straight from the file's bytes by numpy, never
+    as one Python float per entry.  Each big buffer is dropped as soon as the
+    next one exists, so the peak stays near twice the larger of the file and
+    its decoded operators.
+    """
+    try:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+        fields = _fields(text)
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot parse {path}: {exc}") from exc
+    if fields.get("version") != FILE_VERSION:
+        raise FileFormatError(
+            f"{path}: unknown or missing file version {fields.get('version')!r}"
         )
     try:
-        d = int(doc["d"])
-        n = int(doc["n"])
-        raw_ops = doc["operators"]
+        d = int(fields["d"])
+        n = int(fields["n"])
+        span = fields["operators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing field {exc}") from exc
+    if not isinstance(span, slice):
+        raise FileFormatError(f"{path}: operators must be a list of operators")
+    if d < 1 or n < 0:
+        raise FileFormatError(f"{path}: d must be at least 1 and n at least 0, got {d} and {n}")
+    if not text.isascii():  # the span counts characters; find its first byte
+        start = len(text[:span.start].encode())
+        span = slice(start, start + span.stop - span.start)
+    del text
     dim = d**n
-    ops = [_pairs_to_matrix(pairs, dim) for pairs in raw_ops]
-    meas = validate_measurement(ops, tol)
-    return meas, d, n, doc.get("metadata", {})
+    data = data[span]  # the operators list alone; a non-ASCII byte fails its checks
+    k = _operator_count(data, dim * dim, path)
+    data = data.translate(_BRACKETS_TO_SPACES)  # numbers separated by commas
+    with warnings.catch_warnings():
+        # numpy < 2 warns where numpy 2 raises on a number it cannot read to the end
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(data, sep=",")
+        except (ValueError, DeprecationWarning) as exc:
+            raise FileFormatError(f"{path}: operator entries must be numbers: {exc}") from exc
+    del data
+    if values.size != 2 * k * dim * dim:
+        raise FileFormatError(f"{path}: expected {2 * k * dim * dim} numbers, read {values.size}")
+    ops = values.view(complex).reshape(k, dim, dim)
+    meas = validate_measurement(list(ops), tol)
+    return meas, d, n, fields.get("metadata", {})
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +459,24 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    """An option value that must be an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """An option value that must be a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def _leaf(sub, name: str, parent: argparse.ArgumentParser, **defaults):
     """Subcommand ``name`` with ``parent``'s arguments, setting ``defaults``."""
     p = sub.add_parser(name, parents=[parent])
@@ -362,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a measurement file's completeness")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=DEFAULT_COMPLETENESS_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_COMPLETENESS_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("distance", help="exact distance between two measurement files")
@@ -372,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = _Parser(add_help=False)  # what every tester run reads
     run.add_argument("--epsilon", type=float, required=True)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_nonnegative_int, default=0)
     run.add_argument("--scale", type=float, default=1.0,
                      help="multiplier on the sample-size constants")
     run.add_argument("--mode", choices=["per-trial", "aggregate"], default="aggregate")
@@ -411,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     placed.set_defaults(func=cmd_fixtures)
     _leaf(kinds, "stabilizer", placed, fixtures=_stabilizer_fixtures)
     _leaf(kinds, "far-stabilizer", placed, fixtures=_far_stabilizer_fixture).add_argument(
-        "--seed", type=int, default=3)
+        "--seed", type=_nonnegative_int, default=3)
     _leaf(kinds, "klocal", placed, fixtures=_klocal_fixture)
     _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture).add_argument(
         "--d", type=_positive_int, default=2)

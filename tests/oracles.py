@@ -1,17 +1,20 @@
 """The paper's identities and certified constructions that no command runs,
-kept as references the tests check the library against.  The library never
-imports this module."""
+and the slow paths that faster library code replaced, kept as references the
+tests check the library against.  The library never imports this module."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from qmtest import pauli, schur
+from qmtest import cli, pauli, schur
 from qmtest.core import (
+    DEFAULT_COMPLETENESS_TOL,
     DimensionMismatch,
     Measurement,
     QmtestError,
@@ -399,3 +402,36 @@ def per_trial_successes(total: int, p: float, rng: np.random.Generator, chunk: i
     below p, ``chunk`` uniforms at a time."""
     return sum(int(np.count_nonzero(rng.random(min(chunk, total - start)) < p))
                for start in range(0, total, chunk))
+
+
+def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
+    """A dim x dim complex matrix from row-major [re, im] number pairs."""
+    try:
+        arr = np.array(pairs)
+    except ValueError as exc:  # ragged pairs
+        raise cli.FileFormatError(f"operator entries are not [re, im] pairs: {exc}") from exc
+    if arr.shape != (dim * dim, 2) or arr.dtype.kind not in "biuf":
+        raise cli.FileFormatError(f"operator needs {dim * dim} [re, im] number pairs, "
+                                  f"got {arr.dtype} entries of shape {arr.shape}")
+    return arr.astype(float).view(complex).reshape(dim, dim)
+
+
+def load_measurement_json(path, tol: float = DEFAULT_COMPLETENESS_TOL):
+    """``cli.load_measurement`` by ``json.loads`` of the whole file, one Python
+    float per entry, then ``np.array`` per operator: the slow path the numpy
+    reader replaced."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise cli.FileFormatError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("version") != cli.FILE_VERSION:
+        raise cli.FileFormatError(f"{path}: unknown or missing file version")
+    try:
+        d = int(doc["d"])
+        n = int(doc["n"])
+        raw_ops = doc["operators"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise cli.FileFormatError(f"{path}: missing field {exc}") from exc
+    dim = d**n
+    ops = [_pairs_to_matrix(pairs, dim) for pairs in raw_ops]
+    return validate_measurement(ops, tol), d, n, doc.get("metadata", {})

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -48,6 +51,106 @@ def stab_file_other(tmp_path):
     return path
 
 
+IDENTITY_2 = "[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]"
+
+
+def document(operators: str, rest: str = ', "metadata": {}') -> str:
+    """A one-qubit measurement file with the given operators text."""
+    return '{"version": 1, "d": 2, "n": 1, "operators": ' + operators + rest + "}"
+
+
+# each file is read as a FileFormatError, named after what is wrong with it
+MALFORMED = {
+    "empty operators": document("[]"),
+    "missing operators": '{"version": 1, "d": 2, "n": 1, "metadata": {}}',
+    "non-ASCII character": document(IDENTITY_2.replace("0.0]", "0.0\u00a0]", 1)),
+    "non-UTF-8 byte": document(IDENTITY_2).encode().replace(b"0.0]", b"0.0\xff]", 1),
+    "nested four deep": document("[" + IDENTITY_2 + "]"),
+    "nested two deep": document("[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]"),
+    "five pairs": document(IDENTITY_2.replace("]]]", "], [0.0, 0.0]]]")),
+    "blank first entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[ , 0.0]", 1)),
+    "blank second entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[0.0, ]", 1)),
+    "two numbers in an entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[0.0 1.0, 0.0]", 1)),
+    "sign alone": document(IDENTITY_2.replace("[0.0, 0.0]", "[-, 0.0]", 1)),
+    "exponent without digits": document(IDENTITY_2.replace("1.0", "1e", 1)),
+    "trailing data": document(IDENTITY_2) + "{}",
+    "trailing comma": document(IDENTITY_2, ', "metadata": {},'),
+    "trailing comma in operators": document(IDENTITY_2[:-1] + ",]"),
+    "missing comma": document(IDENTITY_2, ' "metadata": {}'),
+    "missing colon": document(IDENTITY_2).replace('"d":', '"d"'),
+    "unclosed operators before a closing-bracket string": document(
+        IDENTITY_2[:-1], ', "metadata": {"note": "]]]"}'),
+    "operators only in a metadata string": '{"version": 1, "d": 2, "n": 1, "metadata": '
+                                           '{"note": "\\"operators\\": [[[1.0, 0.0]]]"}}',
+    "operators only under metadata": '{"version": 1, "d": 2, "n": 1, "metadata": '
+                                     '{"operators": ' + IDENTITY_2 + "}}",
+    # json.loads refuses the file even though the last value is the one it keeps
+    "an earlier operators value that is not JSON": document(
+        "[[[1.0 0.0]]]", ', "operators": ' + IDENTITY_2 + ', "metadata": {}'),
+    "d of zero": document(IDENTITY_2).replace('"d": 2', '"d": 0'),
+}
+
+# -0.0, the smallest subnormal, the largest finite doubles and integers, beside
+# arbitrary finite floats
+ENTRIES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                            -1.7976931348623157e308, 0, 1, -7])
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-2**53, 2**53))
+METADATA = st.dictionaries(
+    st.sampled_from(["operators", "note", "]]]", "é"]) | st.text(max_size=4),
+    st.sampled_from(["]]]", '"operators": [[[', "[[[1, 0]]]"]) | st.text(max_size=6)
+    | st.integers() | st.lists(st.integers(), max_size=2),
+    max_size=3)
+WHITESPACE = st.text(" \t\n\r", max_size=2)
+
+
+@st.composite
+def measurement_documents(draw):
+    """(file text or None, operators, d, n, metadata) of a well-formed file.
+
+    The text is None when ``save_measurement`` is to write the file.  Otherwise
+    it is ``json.dumps`` with indent 2, or written out by hand with whitespace
+    inside the pairs, with the fields in any order either way.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 2 if d < 3 else 1))
+    k = draw(st.integers(1, 3))
+    pairs = [[[draw(ENTRIES), draw(ENTRIES)] for _ in range(d ** (2 * n))] for _ in range(k)]
+    ops = np.array(pairs, dtype=float).view(complex).reshape(k, d**n, d**n)
+    style = draw(st.sampled_from(["save", "indent", "spaced"]))
+    if style == "save":
+        return None, ops, d, n, {str(key): str(value) for key, value in draw(METADATA).items()}
+    metadata = draw(METADATA)
+    fields = {"version": 1, "d": d, "n": n, "operators": pairs, "metadata": metadata}
+    order = draw(st.permutations(list(fields)))
+    ascii_only = draw(st.booleans())
+    if style == "indent":
+        text = json.dumps({key: fields[key] for key in order}, indent=2, ensure_ascii=ascii_only)
+    else:
+        def pair(re, im):
+            w = [draw(WHITESPACE) for _ in range(4)]
+            return f"[{w[0]}{json.dumps(re)}{w[1]},{w[2]}{json.dumps(im)}{w[3]}]"
+
+        operators = "[" + ", ".join("[" + ",".join(pair(*p) for p in op) + "]"
+                                    for op in pairs) + "]"
+        text = "{" + ", ".join(
+            json.dumps(key) + ": " + (operators if key == "operators"
+                                      else json.dumps(fields[key], ensure_ascii=ascii_only))
+            for key in order) + "}\n"
+    return text, ops, d, n, metadata
+
+
+# prints how far a fresh interpreter's peak RSS, in KiB, rises across one load
+PEAK_GROWTH = """
+import resource, sys
+from qmtest import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cli.load_measurement(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+LOAD_MEMORY_BOUND = 2.0  # peak growth per (file bytes + 16 k D^2 bytes of operators)
+
+
 class TestMeasurementFiles:
     def test_round_trip(self, tmp_path, rng):
         meas = oracles.random_measurement(4, 3, rng)
@@ -73,8 +176,11 @@ class TestMeasurementFiles:
         with pytest.raises(cli.FileFormatError):
             cli.load_measurement(path)
 
+    # json.loads reads true and false as 1 and 0, so the reader it replaced did too
     @pytest.mark.parametrize("bad", ["1.0", None, [1.0, 0.0, 0.0], [1.0], {"re": 1.0},
-                                     ["1.0", 0.0], [None, 0.0]])
+                                     ["1.0", 0.0], [None, 0.0], [math.nan, 0.0],
+                                     [0.0, math.inf], [-math.inf, 0.0], [True, 0.0],
+                                     [0.0, False]])
     def test_malformed_entry(self, capsys, tmp_path, bad):
         # one bad entry among three good [re, im] pairs of a 2x2 operator
         path = tmp_path / "bad_entry.json"
@@ -98,6 +204,79 @@ class TestMeasurementFiles:
         path.write_text("{nope")
         with pytest.raises(cli.FileFormatError):
             cli.load_measurement(path)
+
+    @pytest.mark.parametrize("text", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_file(self, capsys, tmp_path, text):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        with pytest.raises(cli.FileFormatError):
+            cli.load_measurement(path)
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert report["error"].startswith("FileFormatError: ")
+
+    @pytest.mark.parametrize("metadata", [
+        '{"note": "]]]"}',
+        '{"note": "\\"operators\\": [[[9.0, 9.0]]]"}',
+        '{"operators": [[[9.0, 9.0]]]}',
+    ], ids=["closing brackets", "operators string", "nested operators key"])
+    @pytest.mark.parametrize("first", [True, False], ids=["metadata first", "operators first"])
+    def test_top_level_operators_are_read(self, tmp_path, metadata, first):
+        fields = [f'"metadata": {metadata}', f'"operators": {IDENTITY_2}']
+        path = tmp_path / "m.json"
+        path.write_text('{"version": 1, "d": 2, "n": 1, '
+                        + ", ".join(fields if first else fields[::-1]) + "}")
+        meas, _, _, meta = cli.load_measurement(path)
+        np.testing.assert_array_equal(meas.operators[0], np.eye(2))
+        assert meta == json.loads(metadata)
+
+    @pytest.mark.parametrize("spelled,value", [("+1", 1.0), (".5", 0.5), ("1.", 1.0),
+                                               ("01", 1.0), ("-.5", -0.5), ("1.e0", 1.0)])
+    def test_number_spellings_json_forbids_are_read(self, tmp_path, spelled, value):
+        # numpy's parser takes these and no check spends a pass over the file to
+        # refuse them; json.loads, and so the reader it replaced, refuses them
+        path = tmp_path / "spelled.json"
+        path.write_text(document(IDENTITY_2.replace("1.0, 0.0]]]", f"{spelled}, 0.0]]]")))
+        meas, _, _, _ = cli.load_measurement(path, tol=math.inf)
+        assert meas.operators[0][1, 1] == value
+        with pytest.raises(cli.FileFormatError):
+            oracles.load_measurement_json(path, tol=math.inf)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the Gram sum
+    @settings(max_examples=80, deadline=None)
+    @given(doc=measurement_documents())
+    def test_reader_matches_json_oracle(self, tmp_path_factory, doc):
+        text, ops, d, n, metadata = doc
+        path = tmp_path_factory.mktemp("doc") / "m.json"
+        if text is None:
+            cli.save_measurement(path, core.validate_measurement(list(ops), math.inf), d, n,
+                                 metadata)
+        else:
+            path.write_text(text, encoding="utf-8")
+        got, *got_rest = cli.load_measurement(path, tol=math.inf)
+        want, *want_rest = oracles.load_measurement_json(path, tol=math.inf)
+        assert [op.tobytes() for op in got.operators] == [op.tobytes() for op in want.operators]
+        assert got_rest == want_rest
+        if text is not None:
+            assert got_rest == [d, n, metadata]
+            np.testing.assert_array_equal(np.array(got.operators), ops)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
+    @pytest.mark.parametrize("kind", ["one-hot", "dense"])
+    def test_load_memory(self, tmp_path, rng, kind):
+        # 81 one-hot operators at D = 81, or 5 dense ones at D = 256
+        if kind == "one-hot":
+            meas, d, n = comp_basis_measurement(81), 3, 4
+        else:
+            meas, d, n = oracles.random_measurement(256, 5, rng), 2, 8
+        path = tmp_path / "m.json"
+        cli.save_measurement(path, meas, d, n)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", PEAK_GROWTH, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        arrays = 16 * len(meas) * meas.dim**2
+        assert int(out) * 1024 <= LOAD_MEMORY_BOUND * (path.stat().st_size + arrays)
 
 
 class TestReports:
@@ -305,6 +484,21 @@ class TestValidateCommand:
         path.write_text("[1,2")
         code, report = run_cli(capsys, "validate", str(path))
         assert code == 2
+
+    # nan and inf once passed a file with residual 1.0 (exit 0, tol null), and -1
+    # failed a complete one (exit 1)
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "abc"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, stab_file, tol):
+        code, report = run_cli(capsys, "validate", str(stab_file), "--tol", tol)
+        assert code == 2
+        assert report["error"].startswith("UsageError: argument --tol: ")
+
+    def test_zero_tolerance_is_an_option_value(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        cli.save_measurement(path, core.validate_measurement([np.eye(2) / 2], math.inf), 2, 1)
+        code, report = run_cli(capsys, "validate", str(path), "--tol", "0")
+        assert code == 1
+        assert report["error"].startswith("CompletenessViolation: ")
 
 
 class TestDistanceCommand:
@@ -555,6 +749,17 @@ class TestFixturesCommand:
         code, report = run_cli(capsys, "fixtures", kind, str(out), option, value)
         assert code == 2
         assert report["error"].startswith(f"UsageError: argument {option}: ")
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, stab_file):
+        # each once exited 2 with "ValueError: expected non-negative integer",
+        # the fixture having made OUT first
+        out = tmp_path / "out"
+        for argv in (("fixtures", "far-stabilizer", str(out), "--n", "2", "--seed", "-1"),
+                     ("test", "stabilizer", str(stab_file), "--epsilon", "0.5", "--seed", "-1")):
+            code, report = run_cli(capsys, *argv)
+            assert code == 2
+            assert report["error"].startswith("UsageError: argument --seed: ")
         assert not out.exists()
 
 
