@@ -23,8 +23,10 @@ state afterwards included.  The uniforms are split into one contiguous span
 per core, each drawn by a PCG64 copy jumped ahead to its start, and at most
 ``CHUNK`` = 2^20 of them are held in memory at once, whatever the core
 count.  Both modes give the same distribution, and per-trial mode is the
-reference that aggregate mode is checked against.  A draw count beyond int64
-raises ``SampleBudgetExceeded`` before any draw.
+reference that aggregate mode is checked against.  Both modes check a law
+once, in ``_law``, by ``choice``'s rules: no NaN, no negative entry, and a sum
+within sqrt(eps) of 1.  So they accept and refuse the same laws.  A draw count
+beyond int64 raises ``SampleBudgetExceeded`` before any draw.
 """
 
 from __future__ import annotations
@@ -64,26 +66,33 @@ def _check_budget(n: int) -> None:
         raise SampleBudgetExceeded(f"{n} draws exceed the int64 budget of {MAX_DRAWS}")
 
 
+def _law(p) -> np.ndarray:
+    """``p`` as a float64 law, checked as ``Generator.choice`` checks one: no NaN,
+    no negative entry, and a sum within ``_SUM_TOL`` of 1."""
+    p = np.asarray(p, dtype=np.float64)
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if not abs(float(p.sum()) - 1.0) <= _SUM_TOL:
+        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+    return p
+
+
 def aggregate_multinomial(L: int, probs, rng: np.random.Generator) -> np.ndarray:
-    """Exact multinomial counts for L categorical draws.
+    """Exact multinomial counts for L categorical draws from the law ``probs``.
 
     Backed by the generator's conditional-binomial chain; no normal
     approximation is involved, so the counts are exchangeable with L
-    individual draws.
+    individual draws.  The law is checked as ``choice_counts`` checks it.
     """
     if L < 0:
         raise ValueError("L must be non-negative")
     _check_budget(L)
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < -1e-12):
-        raise ValueError("negative probability")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise ValueError(f"probabilities sum to {total}")
+    probs = _law(probs)
     if L == 0:
         return np.zeros(probs.size, dtype=np.int64)
-    return rng.multinomial(L, probs / total)
+    return rng.multinomial(L, probs / probs.sum())
 
 
 def _cores() -> int:
@@ -187,14 +196,7 @@ def choice_counts(total: int, p, rng: np.random.Generator) -> np.ndarray:
     j are counted by the uniforms below cdf[j].  The law is checked as
     ``choice`` checks it, before any draw.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if np.isnan(p).any():
-        raise ValueError("probabilities contain NaN")
-    if (p < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if not abs(float(p.sum()) - 1.0) <= _SUM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    cdf = p.cumsum()
+    cdf = _law(p).cumsum()
     cdf /= cdf[-1]
     return np.diff(count_below(total, cdf, rng), prepend=0)
 

@@ -23,8 +23,9 @@ takes only the options it reads:
         far-stabilizer also takes --seed; perminv and compbasis take --d
     schur D N OUT
 
-``estimate``'s outcome bound is the larger outcome count of its two files, and
-``test perminv`` accepts ``--schur-cache`` and ignores it.
+``estimate`` takes no outcome bound: the estimator derives it as the larger
+outcome count of the two files.  ``test perminv`` accepts ``--schur-cache``
+and ignores it.
 """
 
 from __future__ import annotations
@@ -192,15 +193,21 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
             f"{path}: unknown or missing file version {fields.get('version')!r}"
         )
     try:
-        d = int(fields["d"])
-        n = int(fields["n"])
-        span = fields["operators"]
-    except (KeyError, TypeError, ValueError) as exc:
+        d, n, span = fields["d"], fields["n"], fields["operators"]
+    except KeyError as exc:
         raise FileFormatError(f"{path}: missing field {exc}") from exc
     if not isinstance(span, slice):
         raise FileFormatError(f"{path}: operators must be a list of operators")
+    if type(d) is not int or type(n) is not int:  # bool is a subclass of int
+        raise FileFormatError(f"{path}: d and n must be JSON integers, "
+                              f"got {type(d).__name__} and {type(n).__name__}")
     if d < 1 or n < 0:
         raise FileFormatError(f"{path}: d must be at least 1 and n at least 0, got {d} and {n}")
+    # each of the d**(2n) [re, im] pairs takes at least 5 bytes; an n past the
+    # file size's bit length cannot fit, so d**n is not formed before this holds
+    if d > 1 and 5 * d ** (2 * min(n, len(data).bit_length())) > len(data):
+        raise FileFormatError(f"{path}: {len(data)} bytes cannot hold the operators "
+                              f"of d = {d} and n = {n}")
     if not text.isascii():  # the span counts characters; find its first byte
         start = len(text[:span.start].encode())
         span = slice(start, start + span.stop - span.start)
@@ -340,16 +347,15 @@ def cmd_estimate(ns, report) -> int:
     N, _, _, _ = load_measurement(ns.path_b)
     if M.dim != N.dim:
         raise DimensionMismatch("measurements live on different dimensions")
-    k = max(len(M), len(N))
     cfg = _config_from_flags(ns, seed)
     box_m = BlackBox(M, seed=seed, sampling=_sampling(ns))
     box_n = BlackBox(N, seed=seed + 1, sampling=_sampling(ns))
     if ns.identity:
-        verdict = testers.test_identity(box_m, box_n, k, cfg)
+        verdict = testers.test_identity(box_m, box_n, cfg)
         report["verdict"] = _verdict_payload(verdict)
         report["verdict"]["meaning"] = "accept=same, reject=different"
         return 0 if verdict.accepted else 1
-    est = testers.estimate_distance(box_m, box_n, k, cfg)
+    est = testers.estimate_distance(box_m, box_n, cfg)
     exact = metric.delta_measurement(M, N)
     report["estimate"] = {
         "delta_hat": est.delta_hat,

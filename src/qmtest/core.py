@@ -90,7 +90,7 @@ def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurem
             raise DimensionMismatch("measurement operators have mixed dimensions")
     gram = sum(m.conj().T @ m for m in mats)
     residual = float(np.linalg.norm(gram - np.eye(dim)))
-    if residual > tol:
+    if not residual <= tol:  # a NaN residual, from overflowing entries, fails too
         raise CompletenessViolation(
             f"sum_i M_i^dag M_i deviates from I by {residual:.3e} (tol {tol:.1e})"
         )

@@ -49,10 +49,6 @@ class PauliLabel:
         if any(not 0 <= c < self.d for c in self.x + self.z):
             raise ValueError(f"label components must lie in [0, {self.d - 1}]")
 
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
     def is_identity(self) -> bool:
         return not any(self.x) and not any(self.z)
 
@@ -119,6 +115,9 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
 
 
 def _power_check(dim: int, d: int) -> int:
+    """The n with dim = d**n; d = 1 has only the power 1, and d < 1 none."""
+    if d < 1 or d == 1 and dim > 1:
+        raise DimensionMismatch(f"dimension {dim} is not a power of {d}")
     n = 0
     v = dim
     while v > 1:

@@ -14,6 +14,11 @@ The testers never see the sampling mode: every draw is a ``BlackBox``
 sampling method (or ``blackbox.paired_swap_zeros``), and the box decides
 whether it is drawn in aggregate or per trial.  Each report still records
 the box's mode as ``params["sampling"]``.
+
+Only the k-local tester takes a bound k, its locality.  Every outcome bound is
+derived: the finite-set test's is the largest outcome count of the family, and
+the distance estimator's the larger outcome count of its two boxes.  A
+constants function given a k below 1 raises ``InvalidLocality``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class GramIllConditioned(QmtestError):
 
 
 class InvalidLocality(QmtestError):
-    """The locality or outcome bound k is not positive, or below a box's outcome count."""
+    """The locality or outcome bound k is not a positive integer."""
 
 
 class DuplicateMember(QmtestError):
@@ -221,12 +226,10 @@ def test_klocal(box: BlackBox, k: int, cfg: TesterConfig) -> Verdict:
     params = _run_params(cfg, box.sampling, k=k, **consts)
 
     label_counts = box.sample_joint_label_counts(consts["L"])
-    masks = pauli._support_masks(d, n)
-    union_mask = 0
-    for idx in np.nonzero(label_counts)[0]:
-        union_mask |= int(masks[idx])
+    seen = label_counts > 0
+    union_mask = int(np.bitwise_or.reduce(pauli._support_masks(d, n)[seen]))
     union = {s + 1 for s in range(n) if union_mask >> s & 1}
-    stats = {"support_union": sorted(union), "distinct_labels": int((label_counts > 0).sum())}
+    stats = {"support_union": sorted(union), "distinct_labels": int(seen.sum())}
     return Verdict(None if len(union) <= k else "support_size", box.query_count, stats, params)
 
 
@@ -337,23 +340,18 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
     if not surviving:
         return Verdict("member_filter", box.query_count, stats, params)
 
+    # the surviving members' reference states, then the box's as the last one
+    refs = [members.members[i] for i in surviving] + [box._hidden]
     t = len(surviving)
-    gram = np.eye(t, dtype=np.complex128)
+    full = np.eye(t + 1, dtype=np.complex128)
     for r in range(t):
-        for s in range(r + 1, t):
-            X = members.members[surviving[r]]
-            Y = members.members[surviving[s]]
-            pairs = [_unit_choi_overlap(X.operator(j), Y.operator(j)) for j in range(k)]
+        for s in range(r + 1, t + 1):
+            pairs = [_unit_choi_overlap(refs[r].operator(j), refs[s].operator(j))
+                     for j in range(k)]
             val = _log_overlap_product(pairs, counts)
-            gram[r, s] = val
-            gram[s, r] = np.conj(val)
-    overlap_vec = np.empty(t, dtype=np.complex128)
-    for r in range(t):
-        X = members.members[surviving[r]]
-        pairs = [
-            _unit_choi_overlap(X.operator(j), box._hidden.operator(j)) for j in range(k)
-        ]
-        overlap_vec[r] = _log_overlap_product(pairs, counts)
+            full[r, s] = val
+            full[s, r] = np.conj(val)
+    gram, overlap_vec = full[:t, :t], full[:t, t]
 
     vals, vecs = np.linalg.eigh(gram)
     if vals.min() < 1e-12:
@@ -393,10 +391,10 @@ class EstimateReport:
     params: dict
 
 
-def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
-                      cfg: TesterConfig) -> EstimateReport:
-    """Estimate the distance between two hidden measurements with <= k outcomes.
+def estimate_distance(box_m: BlackBox, box_n: BlackBox, cfg: TesterConfig) -> EstimateReport:
+    """Estimate the distance between two hidden measurements.
 
+    The outcome bound k is the larger outcome count of the two boxes.
     Collects outcome fractions from L entangled queries per box, keeps the
     outcomes frequent on both sides, swap-tests each retained pair of
     post-states, and reports sqrt(1 - sum_i sqrt(a_i b_i) lambda_i) clamped
@@ -404,10 +402,8 @@ def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
     """
     if box_m.dim != box_n.dim:
         raise DimensionMismatch("boxes live on different dimensions")
+    k = max(box_m.num_outcomes, box_n.num_outcomes)
     consts = distance_constants(cfg.epsilon, k, cfg.constant_scale)
-    outcomes = max(box_m.num_outcomes, box_n.num_outcomes)
-    if outcomes > k:  # the estimate would drop every outcome at index k or above
-        raise InvalidLocality(f"k = {k} is below the {outcomes} outcomes of the boxes")
     L, T, threshold = consts["L"], consts["T"], consts["threshold"]
     params = _run_params(cfg, shared_sampling(box_m, box_n), k=k, **consts)
 
@@ -437,15 +433,14 @@ def estimate_distance(box_m: BlackBox, box_n: BlackBox, k: int,
                           stage_stats=stats, params=params)
 
 
-def test_identity(box_m: BlackBox, box_n: BlackBox, k: int,
-                  cfg: TesterConfig) -> Verdict:
+def test_identity(box_m: BlackBox, box_n: BlackBox, cfg: TesterConfig) -> Verdict:
     """Same-or-far decision under the promise that the distance is 0 or >= eps.
 
     Runs the distance estimator at precision eps/2 and declares "same"
     (accept) when the estimate lands below eps/2.  The promise itself is not
     checkable from queries, which the verdict records.
     """
-    report = estimate_distance(box_m, box_n, k, replace(cfg, epsilon=cfg.epsilon / 2))
+    report = estimate_distance(box_m, box_n, replace(cfg, epsilon=cfg.epsilon / 2))
     same = report.delta_hat < cfg.epsilon / 2
     stats = dict(report.stage_stats)
     stats["delta_hat"] = report.delta_hat

@@ -224,12 +224,12 @@ def pauli_product_phase(ab: pauli.PauliLabel, cd: pauli.PauliLabel) -> complex:
     Computed sitewise from the d x d matrices, so it is correct for either
     site convention.
     """
-    if ab.d != cd.d or ab.n != cd.n:
+    if ab.d != cd.d or len(ab.x) != len(cd.x):
         raise DimensionMismatch("labels must share d and n")
     d = ab.d
     sites = pauli._site_matrices(d)
     beta = 1.0 + 0j
-    for s in range(ab.n):
+    for s in range(len(ab.x)):
         prod = sites[ab.x[s], ab.z[s]] @ sites[cd.x[s], cd.z[s]]
         target = sites[(ab.x[s] + cd.x[s]) % d, (ab.z[s] + cd.z[s]) % d]
         r, c = np.nonzero(target)
@@ -239,7 +239,7 @@ def pauli_product_phase(ab: pauli.PauliLabel, cd: pauli.PauliLabel) -> complex:
 
 def support(label: pauli.PauliLabel) -> set[int]:
     """1-based site indices where the label acts nontrivially."""
-    return {s + 1 for s in range(label.n) if label.x[s] or label.z[s]}
+    return {s + 1 for s in range(len(label.x)) if label.x[s] or label.z[s]}
 
 
 def matrix_from_mu(mu: np.ndarray, d: int, n: int) -> np.ndarray:

@@ -190,11 +190,11 @@ def test_c08_distance_estimator():
     for s in range(25):
         cfg = testers.TesterConfig(epsilon=0.6, seed=s)
         rep = testers.estimate_distance(
-            BlackBox(P, seed=2 * s), BlackBox(Q, seed=2 * s + 1), 2, cfg
+            BlackBox(P, seed=2 * s), BlackBox(Q, seed=2 * s + 1), cfg
         )
         good_pair += abs(rep.delta_hat - truth) <= 0.6
         rep = testers.estimate_distance(
-            BlackBox(P, seed=3 * s + 7), BlackBox(P, seed=3 * s + 8), 2, cfg
+            BlackBox(P, seed=3 * s + 7), BlackBox(P, seed=3 * s + 8), cfg
         )
         good_same += rep.delta_hat <= 0.6
     ok = good_pair >= 20 and good_same >= 20

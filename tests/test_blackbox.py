@@ -468,6 +468,23 @@ class TestCountBelow:
         expected = oracles.per_trial_counts(1000, p, np.random.default_rng(4), blackbox.CHUNK)
         np.testing.assert_array_equal(counts, expected)
 
+    @pytest.mark.parametrize("p,accepted", [
+        ([np.nan, 1.0], False), ([-0.1, 1.1], False), ([0.5, 0.5 + 1e-7], False),
+        ([0.5, np.inf], False), ([], False), ([-1e-13, 1 + 1e-13], False),
+        ([0.5, 0.5 + 1e-9], True)])
+    def test_both_modes_check_a_law_alike(self, p, accepted):
+        # aggregate and per-trial draws accept and refuse the same laws, by
+        # ``choice``'s rules: a negative entry is refused however small
+        for sample in (blackbox.aggregate_multinomial, blackbox.choice_counts):
+            if accepted:
+                assert sample(100, p, np.random.default_rng(0)).sum() == 100
+            else:
+                with pytest.raises(ValueError):
+                    sample(100, p, np.random.default_rng(0))
+        if not accepted:
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).choice(len(p), size=100, p=p)
+
     def test_rejects_other_bit_generators(self):
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(blackbox.UnsupportedGenerator, match="MT19937"):

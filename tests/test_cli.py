@@ -88,6 +88,12 @@ MALFORMED = {
     "an earlier operators value that is not JSON": document(
         "[[[1.0 0.0]]]", ', "operators": ' + IDENTITY_2 + ', "metadata": {}'),
     "d of zero": document(IDENTITY_2).replace('"d": 2', '"d": 0'),
+    # d and n are JSON integers: int() once read 2.7 and "2" as 2 and true as 1
+    "d of 2.7": document(IDENTITY_2).replace('"d": 2', '"d": 2.7'),
+    "d as a string": document(IDENTITY_2).replace('"d": 2', '"d": "2"'),
+    "d beyond a double": document(IDENTITY_2).replace('"d": 2', '"d": 1e400'),
+    "n as true": document(IDENTITY_2).replace('"n": 1', '"n": true'),
+    "d too large for the file": document(IDENTITY_2).replace('"d": 2', '"d": 1000000'),
 }
 
 # -0.0, the smallest subnormal, the largest finite doubles and integers, beside
@@ -138,6 +144,11 @@ def measurement_documents(draw):
                                       else json.dumps(fields[key], ensure_ascii=ascii_only))
             for key in order) + "}\n"
     return text, ops, d, n, metadata
+
+
+def unchecked_measurement(ops) -> core.Measurement:
+    """The operators as a Measurement, with no completeness check."""
+    return core.Measurement(tuple(core.as_operator(op) for op in ops), math.nan)
 
 
 # prints how far a fresh interpreter's peak RSS, in KiB, rises across one load
@@ -199,6 +210,15 @@ class TestMeasurementFiles:
         meas, _, _, _ = cli.load_measurement(path)
         np.testing.assert_array_equal(meas.operators[0], np.eye(2, dtype=complex))
 
+    def test_huge_n_refused_before_d_to_the_n(self, tmp_path):
+        # 2**1e9 once took 20 s and 919 MB before failing to print itself
+        path = tmp_path / "huge_n.json"
+        path.write_text(document("[[[1, 0]]]").replace('"n": 1', '"n": 1000000000'))
+        start = time.monotonic()
+        with pytest.raises(cli.FileFormatError, match="cannot hold"):
+            cli.load_measurement(path)
+        assert time.monotonic() - start < 1.0
+
     def test_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -242,19 +262,23 @@ class TestMeasurementFiles:
         with pytest.raises(cli.FileFormatError):
             oracles.load_measurement_json(path, tol=math.inf)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the Gram sum
     @settings(max_examples=80, deadline=None)
     @given(doc=measurement_documents())
     def test_reader_matches_json_oracle(self, tmp_path_factory, doc):
         text, ops, d, n, metadata = doc
         path = tmp_path_factory.mktemp("doc") / "m.json"
         if text is None:
-            cli.save_measurement(path, core.validate_measurement(list(ops), math.inf), d, n,
-                                 metadata)
+            cli.save_measurement(path, unchecked_measurement(ops), d, n, metadata)
         else:
             path.write_text(text, encoding="utf-8")
-        got, *got_rest = cli.load_measurement(path, tol=math.inf)
-        want, *want_rest = oracles.load_measurement_json(path, tol=math.inf)
+        # the entries go up to the largest doubles, whose Gram sum overflows to a
+        # NaN residual that no tolerance passes: compare the decoded operators
+        with pytest.MonkeyPatch.context() as patch:
+            for reader in (cli, oracles):
+                patch.setattr(reader, "validate_measurement",
+                              lambda ops, tol: unchecked_measurement(ops))
+            got, *got_rest = cli.load_measurement(path)
+            want, *want_rest = oracles.load_measurement_json(path)
         assert [op.tobytes() for op in got.operators] == [op.tobytes() for op in want.operators]
         assert got_rest == want_rest
         if text is not None:
@@ -492,6 +516,18 @@ class TestValidateCommand:
         code, report = run_cli(capsys, "validate", str(stab_file), "--tol", tol)
         assert code == 2
         assert report["error"].startswith("UsageError: argument --tol: ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the Gram sum
+    def test_nan_residual_fails(self, capsys, tmp_path):
+        # each M^dag M overflows, so the residual is NaN: it once passed as null
+        path = tmp_path / "overflow.json"
+        path.write_text(document("[[[1e300, 0], [-1e300, 0], [1e300, 0], [1e300, 0]]]"))
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert report["error"].startswith("CompletenessViolation: ")
+        code, report = run_cli(capsys, "test", "perminv", str(path), "--epsilon", "0.5")
+        assert code == 2
+        assert report["error"].startswith("CompletenessViolation: ")
 
     def test_zero_tolerance_is_an_option_value(self, capsys, tmp_path):
         path = tmp_path / "half.json"
@@ -830,3 +866,27 @@ class TestSchurCommand:
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(cli.FileFormatError):
             cli.load_schur_cache(path)
+
+
+# prints the qmtest submodules, and whether numpy is loaded, after each import
+IMPORTS = """
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("qmtest.")), "numpy" in sys.modules
+import qmtest
+print(loaded())
+import qmtest.cli
+print(loaded())
+"""
+
+
+def test_package_import_loads_no_submodule():
+    # a fresh interpreter, since this one has imported every module already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", IMPORTS], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.splitlines()
+    assert ast.literal_eval(out[0]) == ([], False)
+    modules = ["blackbox", "cli", "core", "metric", "pauli", "schur", "testers"]
+    assert ast.literal_eval(out[1]) == ([f"qmtest.{m}" for m in modules], True)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmtest import core, pauli
+from qmtest.blackbox import BlackBox
 
 import oracles
 
@@ -279,3 +280,22 @@ class TestQDistribution:
         for op in meas.operators:
             manual += core.choi_prob(op) * pauli.q_distribution(op, 2)
         np.testing.assert_allclose(xi, manual, atol=1e-10)
+
+
+class TestPowerCheck:
+    @pytest.mark.parametrize("dim,d,n", [(1, 1, 0), (1, 2, 0), (8, 2, 3), (27, 3, 3)])
+    def test_powers(self, dim, d, n):
+        assert pauli._power_check(dim, d) == n
+
+    @pytest.mark.parametrize("dim,d", [(2, 1), (4, 0), (4, -2), (1, 0), (1, -1), (6, 4)])
+    def test_no_power_refused(self, dim, d):
+        # d = 1 once looped forever on dim > 1, and d = -2 read 4 as (-2)**1
+        with pytest.raises(core.DimensionMismatch):
+            pauli._power_check(dim, d)
+
+    def test_local_dimension_one_refused_on_a_qubit(self, rng):
+        meas = oracles.random_measurement(2, 2, rng)
+        for call in (lambda: BlackBox(meas, d=1), lambda: pauli.xi_distribution(meas, 1),
+                     lambda: pauli.q_distribution(meas.operators[0], 1)):
+            with pytest.raises(core.DimensionMismatch):
+                call()

@@ -406,14 +406,14 @@ class TestDistanceEstimation:
     def test_identical_boxes(self):
         m = pauli.stabilizer_measurement((0,), (1,))
         cfg = testers.TesterConfig(epsilon=0.6, seed=0)
-        rep = testers.estimate_distance(BlackBox(m, seed=1), BlackBox(m, seed=2), 2, cfg)
+        rep = testers.estimate_distance(BlackBox(m, seed=1), BlackBox(m, seed=2), cfg)
         assert rep.delta_hat <= 0.6
         assert rep.query_count == 2 * rep.params["L"]
 
     def test_stabilizer_pair(self):
         ms = stab_pair_1q()
         cfg = testers.TesterConfig(epsilon=0.6, seed=1)
-        rep = testers.estimate_distance(BlackBox(ms[0], seed=1), BlackBox(ms[1], seed=2), 2, cfg)
+        rep = testers.estimate_distance(BlackBox(ms[0], seed=1), BlackBox(ms[1], seed=2), cfg)
         assert abs(rep.delta_hat - 1 / math.sqrt(2)) <= 0.6
 
     def test_small_outcome_exclusion(self):
@@ -424,11 +424,29 @@ class TestDistanceEstimation:
             [math.sqrt(1 - t) * np.eye(2), math.sqrt(t) * np.eye(2)]
         )
         cfg = testers.TesterConfig(epsilon=0.6, seed=0, constant_scale=1e-3)
-        rep = testers.estimate_distance(BlackBox(m1, seed=3), BlackBox(m1, seed=4), 2, cfg)
+        rep = testers.estimate_distance(BlackBox(m1, seed=3), BlackBox(m1, seed=4), cfg)
         assert 1 not in rep.stage_stats["kept_m"]
         delta_cut = cfg.epsilon**4 / (16 * 2)
         tail = abs(core.hs_inner(m1.operators[1], m1.operators[1])) / 2
         assert tail <= 2 * math.sqrt(delta_cut * 2)
+
+    @pytest.mark.parametrize("mode", blackbox.SAMPLING_MODES)
+    def test_outcome_bound_is_the_larger_outcome_count(self, mode):
+        # a 2-outcome box against a 3-outcome one: k = 3 sizes the run, so no
+        # outcome of the larger box is dropped
+        two = pauli.stabilizer_measurement((0,), (1,))
+        three = core.validate_measurement(
+            [np.diag([1.0, 0.0]), np.diag([0.0, math.sqrt(0.5)]), np.diag([0.0, math.sqrt(0.5)])])
+        cfg = testers.TesterConfig(epsilon=0.5, seed=0, constant_scale=1e-7)
+        rep = testers.estimate_distance(BlackBox(two, seed=1, sampling=mode),
+                                        BlackBox(three, seed=2, sampling=mode), cfg)
+        assert rep.params["k"] == 3
+        assert rep.params["L"] == testers.distance_constants(0.5, 3, 1e-7)["L"]
+        assert len(rep.stage_stats["fractions_n"]) == 3
+        v = testers.test_identity(BlackBox(three, seed=1, sampling=mode),
+                                  BlackBox(two, seed=2, sampling=mode), cfg)
+        assert v.params["k"] == 3
+        assert v.params["L"] == testers.distance_constants(0.25, 3, 1e-7)["L"]
 
     def test_mode_equivalence(self):
         ms = stab_pair_1q()
@@ -441,7 +459,7 @@ class TestDistanceEstimation:
                 abs(
                     testers.estimate_distance(
                         BlackBox(ms[0], seed=s, sampling=mode),
-                        BlackBox(ms[1], seed=s + 1000, sampling=mode), 2, cfg
+                        BlackBox(ms[1], seed=s + 1000, sampling=mode), cfg
                     ).delta_hat
                     - truth
                 )
@@ -459,7 +477,7 @@ class TestIdentityTest:
         m = pauli.stabilizer_measurement((1,), (1,))
         cfg = testers.TesterConfig(epsilon=0.7, seed=0)
         hits = sum(
-            testers.test_identity(BlackBox(m, seed=s), BlackBox(m, seed=s + 99), 2, cfg).accepted
+            testers.test_identity(BlackBox(m, seed=s), BlackBox(m, seed=s + 99), cfg).accepted
             for s in range(5)
         )
         assert hits >= 4
@@ -469,29 +487,16 @@ class TestIdentityTest:
         cfg = testers.TesterConfig(epsilon=0.7, seed=0)
         hits = sum(
             not testers.test_identity(
-                BlackBox(ms[0], seed=s), BlackBox(ms[1], seed=s + 99), 2, cfg
+                BlackBox(ms[0], seed=s), BlackBox(ms[1], seed=s + 99), cfg
             ).accepted
             for s in range(5)
         )
         assert hits >= 4
 
-    def test_outcome_bound_below_outcome_count_refused(self):
-        # with k = 1 the second outcome would be dropped, and two identical
-        # two-outcome boxes would read as far apart
-        m = pauli.stabilizer_measurement((1,), (0,))
-        cfg = testers.TesterConfig(epsilon=0.5, seed=0)
-        for run in (testers.estimate_distance, testers.test_identity):
-            box_m, box_n = BlackBox(m, seed=0), BlackBox(m, seed=1)
-            state = box_m.rng.bit_generator.state
-            with pytest.raises(testers.InvalidLocality, match="k = 1 is below the 2 outcomes"):
-                run(box_m, box_n, 1, cfg)
-            assert box_m.query_count == box_n.query_count == 0
-            assert box_m.rng.bit_generator.state == state
-
     def test_promise_flagged(self):
         m = pauli.stabilizer_measurement((1,), (0,))
         cfg = testers.TesterConfig(epsilon=0.7, seed=0)
-        v = testers.test_identity(BlackBox(m, seed=0), BlackBox(m, seed=1), 2, cfg)
+        v = testers.test_identity(BlackBox(m, seed=0), BlackBox(m, seed=1), cfg)
         assert v.stage_stats["promise_unchecked"] is True
 
 
@@ -507,7 +512,7 @@ class TestReproducibility:
         ms = stab_pair_1q()
         cfg = testers.TesterConfig(epsilon=0.6, seed=9)
         reps = [
-            testers.estimate_distance(BlackBox(ms[0], seed=1), BlackBox(ms[1], seed=2), 2, cfg)
+            testers.estimate_distance(BlackBox(ms[0], seed=1), BlackBox(ms[1], seed=2), cfg)
             for _ in range(2)
         ]
         assert reps[0].delta_hat == reps[1].delta_hat
