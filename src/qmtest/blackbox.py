@@ -19,14 +19,15 @@ every trial still draws its own uniform from the stream, the one that
 outcome index is formed: ``count_below`` counts how many uniforms fall below
 each cut of the law's cdf, and the differences of those counts are the
 per-outcome counts, equal bit for bit to ``bincount(choice(...))``, generator
-state afterwards included.  The uniforms are split into one contiguous span
-per core, each drawn by a PCG64 copy jumped ahead to its start, and at most
-``CHUNK`` = 2^20 of them are held in memory at once, whatever the core
-count.  Both modes give the same distribution, and per-trial mode is the
-reference that aggregate mode is checked against.  Both modes check a law
-once, in ``_law``, by ``choice``'s rules: no NaN, no negative entry, and a sum
-within sqrt(eps) of 1.  So they accept and refuse the same laws.  A draw count
-beyond int64 raises ``SampleBudgetExceeded`` before any draw.
+state afterwards included.  The uniforms are split into contiguous spans,
+one per core but at most one per ``CHUNK`` = 2^20 of them begun, each drawn
+by a PCG64 copy jumped ahead to its start, and each span holds one ``BLOCK``
+= 2^16 uniforms (512 KB, a cache-sized buffer) at a time.  Both modes give
+the same distribution, and per-trial mode is the reference that aggregate
+mode is checked against.  Both modes check a law once, in ``_law``, by
+``choice``'s rules: no NaN, no negative entry, and a sum within sqrt(eps) of
+1.  So they accept and refuse the same laws.  A draw count beyond int64
+raises ``SampleBudgetExceeded`` before any draw.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ from . import pauli, schur
 from .core import Measurement, QmtestError, ZeroOperator, hs_inner
 
 SAMPLING_MODES = ("aggregate", "per_trial")
+# a draw gets one span (thread) per core, but at most one per CHUNK uniforms begun
 CHUNK = 1 << 20
-MAX_DRAWS = int(np.iinfo(np.int64).max)
-# above this many cuts, one sort and one search per chunk beat a compare per cut
-SORT_CUTS = 16
-# uniforms compared per pass below that: the block stays in cache across the
-# cuts, and each comparison mask takes BLOCK bytes
+# uniforms a span holds at once: the block stays in cache across the cuts, and
+# each comparison mask takes BLOCK bytes
 BLOCK = 1 << 16
+MAX_DRAWS = int(np.iinfo(np.int64).max)
+# above this many cuts, one sort and one search per block beat a compare per cut
+SORT_CUTS = 16
 # the tolerance ``Generator.choice`` allows on the sum of a law
 _SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -110,22 +112,20 @@ def _jumped(state: dict, delta: int) -> np.random.PCG64:
 
 
 def _count_span(bit_generator: np.random.PCG64, size: int, cuts: np.ndarray,
-                buffer: np.ndarray) -> np.ndarray:
+                block: np.ndarray) -> np.ndarray:
     """How many of the next ``size`` uniforms fall below each of the sorted ``cuts``,
-    drawn into ``buffer`` and counted a buffer at a time."""
+    drawn into ``block`` and counted a block at a time."""
     counts = np.zeros(cuts.size, dtype=np.int64)
     draw = np.random.Generator(bit_generator).random
-    for start in range(0, size, buffer.size):
-        u = buffer[:min(buffer.size, size - start)]
+    for start in range(0, size, block.size):
+        u = block[:min(block.size, size - start)]
         draw(out=u)
         if cuts.size > SORT_CUTS:
             u.sort()
             counts += np.searchsorted(u, cuts)
         else:
-            for lo in range(0, u.size, BLOCK):
-                block = u[lo:lo + BLOCK]
-                for j, cut in enumerate(cuts):
-                    counts[j] += np.count_nonzero(block < cut)
+            for j, cut in enumerate(cuts):
+                counts[j] += np.count_nonzero(u < cut)
     return counts
 
 
@@ -133,9 +133,10 @@ def count_below(total: int, cuts, rng: np.random.Generator) -> np.ndarray:
     """For each cut c, how many of the next ``total`` uniforms of ``rng`` fall below c.
 
     Leaves ``rng`` where ``rng.random(total)`` would.  The uniforms are split
-    into one contiguous span per core (a span runs inline when there is one),
-    each drawn from a copy of the stream jumped ahead to the span's start, and
-    at most ``CHUNK`` of them are held at once.  Cuts outside (0, 1) are
+    into contiguous spans, one per core but at most one per ``CHUNK`` uniforms
+    begun (a span runs inline when there is one), each drawn from a copy of
+    the stream jumped ahead to the span's start, one ``BLOCK`` at a time.  So
+    at most one ``BLOCK`` per span is held at once.  Cuts outside (0, 1) are
     answered without drawing, and repeated cuts are counted once.
     """
     if total < 0:
@@ -153,9 +154,10 @@ def count_below(total: int, cuts, rng: np.random.Generator) -> np.ndarray:
     if active.size and total:
         workers = max(1, min(_cores(), -(-total // CHUNK)))
         bounds = [total * w // workers for w in range(workers + 1)]
-        # one buffer, mapped on the calling thread and sliced per span: a malloc'd
-        # one, once freed, can leave a heap hole that the next call's does not fit
-        per = max(1, min(CHUNK // workers, -(-total // workers)))
+        # one block per span, all in one mapping made on the calling thread: a
+        # malloc'd one, once freed, can leave a heap hole that the next call's
+        # does not fit
+        per = min(BLOCK, -(-total // workers))
         buffer = np.frombuffer(mmap.mmap(-1, 8 * workers * per), dtype=np.float64)
 
         results: list = [None] * workers
@@ -224,9 +226,9 @@ class BlackBox:
 
     Per trial, every draw of outcomes or labels is one ``count_below`` pass
     over the uniforms that ``rng.choice`` would draw, counted at the cuts of
-    the law's cdf and split across cores in spans of at most ``CHUNK``
-    uniforms in memory; the counts and the stream's end state are those of
-    ``bincount(choice(...))``.
+    the law's cdf and split across cores in spans that each hold one
+    ``BLOCK`` of uniforms at a time; the counts and the stream's end state are
+    those of ``bincount(choice(...))``.
     """
 
     def __init__(self, measurement: Measurement, seed=None, d: int | None = None,
@@ -263,7 +265,7 @@ class BlackBox:
 
         Draws the L uniforms that ``rng.choice`` would and counts them at the
         cuts of the outcome law's cdf (``choice_counts``), one span per core
-        with at most ``CHUNK`` uniforms in memory; no outcome index is drawn.
+        holding one ``BLOCK`` of uniforms at a time; no outcome index is drawn.
         """
         counts = choice_counts(L, self.choi_probs(), self.rng)
         self.query_count += L
@@ -294,7 +296,7 @@ class BlackBox:
 
         Draws the T uniforms that ``rng.choice`` would and counts them at the
         cuts of the branch's label cdf (``choice_counts``), one span per core
-        with at most ``CHUNK`` uniforms in memory; no label index is drawn.
+        holding one ``BLOCK`` of uniforms at a time; no label index is drawn.
         """
         return choice_counts(T, self.q_distribution(outcome), self.rng)
 
@@ -377,15 +379,15 @@ class BlackBox:
 
         Charges the iterations run, min(first failure, L).  Per trial, the
         checks draw one uniform each, as ``schur_iteration`` does, scanned
-        ``CHUNK`` at a time up to the chunk holding the first failure; in
+        ``BLOCK`` at a time up to the block holding the first failure; in
         aggregate the geometric first failure is drawn from one uniform by
         inverse transform.
         """
         _check_budget(L)
         p = self.schur_audit()
         if self.sampling == "per_trial":
-            for start in range(0, L, CHUNK):
-                failed = np.flatnonzero(~(self.rng.random(min(CHUNK, L - start)) < p))
+            for start in range(0, L, BLOCK):
+                failed = np.flatnonzero(~(self.rng.random(min(BLOCK, L - start)) < p))
                 if failed.size:
                     first = start + int(failed[0]) + 1
                     self.query_count += first

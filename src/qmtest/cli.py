@@ -20,7 +20,7 @@ takes only the options it reads:
         klocal also needs --k; finite-set needs --set MEMBER, repeatable
     estimate PATH_A PATH_B --epsilon [--seed --scale --mode --identity]
     fixtures stabilizer|far-stabilizer|klocal|perminv|compbasis OUT_DIR [--n]
-        far-stabilizer also takes --seed; perminv and compbasis take --d
+        far-stabilizer also takes --seed; perminv and compbasis take --d (at least 2)
     schur D N OUT
 
 ``estimate`` takes no outcome bound: the estimator derives it as the larger
@@ -203,6 +203,8 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
                               f"got {type(d).__name__} and {type(n).__name__}")
     if d < 1 or n < 0:
         raise FileFormatError(f"{path}: d must be at least 1 and n at least 0, got {d} and {n}")
+    if d == 1 and n != 0:  # 1**n is 1 for every n: the box derives n = 0
+        raise FileFormatError(f"{path}: d = 1 needs n = 0, got n = {n}")
     # each of the d**(2n) [re, im] pairs takes at least 5 bytes; an n past the
     # file size's bit length cannot fit, so d**n is not formed before this holds
     if d > 1 and 5 * d ** (2 * min(n, len(data).bit_length())) > len(data):
@@ -465,6 +467,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _local_dim(text: str) -> int:
+    """A --d value: a local dimension of at least 2, since d = 1 admits only n = 0."""
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return int(text)
+
+
 def _nonnegative_int(text: str) -> int:
     """An option value that must be an integer of at least 0."""
     if not text.isdecimal():
@@ -551,9 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=_nonnegative_int, default=3)
     _leaf(kinds, "klocal", placed, fixtures=_klocal_fixture)
     _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture).add_argument(
-        "--d", type=_positive_int, default=2)
+        "--d", type=_local_dim, default=2)
     _leaf(kinds, "compbasis", placed, fixtures=_compbasis_fixture).add_argument(
-        "--d", type=_positive_int, default=2)
+        "--d", type=_local_dim, default=2)
 
     p = sub.add_parser("schur", help="build, verify, and cache a Schur transform")
     p.add_argument("d", type=int)

@@ -88,8 +88,9 @@ def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurem
     for m in mats[1:]:
         if m.shape[0] != dim:
             raise DimensionMismatch("measurement operators have mixed dimensions")
-    gram = sum(m.conj().T @ m for m in mats)
-    residual = float(np.linalg.norm(gram - np.eye(dim)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a NaN residual
+        gram = sum(m.conj().T @ m for m in mats)
+        residual = float(np.linalg.norm(gram - np.eye(dim)))
     if not residual <= tol:  # a NaN residual, from overflowing entries, fails too
         raise CompletenessViolation(
             f"sum_i M_i^dag M_i deviates from I by {residual:.3e} (tol {tol:.1e})"

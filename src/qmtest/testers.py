@@ -189,9 +189,9 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
         return Verdict("outcome_fraction", box.query_count, stats, params)
 
     label_counts = [box.sample_label_counts(branch, T) for branch in (0, 1)]
-    observed = set(np.nonzero(label_counts[0])[0]) | set(np.nonzero(label_counts[1])[0])
-    extra = sorted(observed - {0})
-    stats["labels_observed"] = len(observed)
+    observed = np.flatnonzero(label_counts[0] | label_counts[1])
+    extra = observed[observed != 0].tolist()
+    stats["labels_observed"] = int(observed.size)
     if len(extra) != 1:
         stats["label_ambiguity"] = len(extra) == 0
         return Verdict("pauli_labels", box.query_count, stats, params)

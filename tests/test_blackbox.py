@@ -282,16 +282,16 @@ class TestSamplingLayer:
     def test_chunk_boundary(self, monkeypatch):
         # per-trial counts over 3 chunks and a remainder equal one whole-array
         # draw from the same seed and leave the generator in the same state,
-        # while the spans together hold at most CHUNK uniforms at once
+        # while each span holds at most one BLOCK of uniforms at once
         L = 3 * blackbox.CHUNK + 5
         meas = comp_basis_measurement(4)
         box = blackbox.BlackBox(meas, seed=31, d=2, sampling="per_trial")
         spans = []
         count_span = blackbox._count_span
 
-        def recorded(bit_generator, size, cuts, buffer):
-            spans.append((size, buffer.size))
-            return count_span(bit_generator, size, cuts, buffer)
+        def recorded(bit_generator, size, cuts, block):
+            spans.append((size, block.size))
+            return count_span(bit_generator, size, cuts, block)
 
         monkeypatch.setattr(blackbox, "_count_span", recorded)
         outcomes = box.sample_outcome_counts(L)
@@ -309,7 +309,7 @@ class TestSamplingLayer:
         workers = len(spans) // 3
         assert workers == min(blackbox._cores(), 4)
         assert sum(size for size, _ in spans) == 3 * L
-        assert all(workers * buffer_size <= blackbox.CHUNK for _, buffer_size in spans)
+        assert all(block_size == blackbox.BLOCK for _, block_size in spans)
 
     def test_sample_budget_exceeded(self):
         too_many = blackbox.MAX_DRAWS + 1
@@ -340,9 +340,9 @@ class TestSamplingLayer:
                 assert box.query_count == min(first, 5)
 
     def test_per_trial_first_failure_matches_single_draws(self, monkeypatch):
-        # the chunked scan finds the failure that one-at-a-time
-        # ``schur_iteration`` calls would, across chunk boundaries too
-        monkeypatch.setattr(blackbox, "CHUNK", 7)
+        # the blockwise scan finds the failure that one-at-a-time
+        # ``schur_iteration`` calls would, across block boundaries too
+        monkeypatch.setattr(blackbox, "BLOCK", 7)
         basis = schur.build_schur_transform(2, 2)
         for meas, L in ((comp_basis_measurement(4), 60), (schur.isotypic_projectors(basis), 30)):
             for s in range(40):
@@ -404,9 +404,11 @@ class TestCountBelow:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_every_span_matches(self, monkeypatch, workers):
-        # every span starts exactly where the one before it stops, on the
-        # compare path and on the sort path
+        # every span starts exactly where the one before it stops, and every
+        # block where the one before it stops, on the compare path and on the
+        # sort path
         monkeypatch.setattr(blackbox, "CHUNK", 64)
+        monkeypatch.setattr(blackbox, "BLOCK", 5)
         monkeypatch.setattr(blackbox, "_cores", lambda: workers)
         total = 5 * 64 + 7
         rng, oracle = np.random.default_rng(17), np.random.default_rng(17)
@@ -527,10 +529,11 @@ class TestCountBelow:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_memory_bounded_by_one_chunk(self, monkeypatch, workers):
-        # 5 chunks of uniforms take about 8 * CHUNK bytes at the peak: one
-        # CHUNK of float64 uniforms shared among the spans, plus small masks.
-        # The uniforms are mapped outside the malloc heap, where tracemalloc
-        # does not see them, so the mapped bytes are counted separately.
+        # 5 chunks of uniforms take one BLOCK of float64 uniforms per span,
+        # far below one CHUNK, plus one comparison mask of BLOCK bytes per
+        # span.  The uniforms are mapped outside the malloc heap, where
+        # tracemalloc does not see them, so the mapped bytes are counted
+        # separately.
         monkeypatch.setattr(blackbox, "_cores", lambda: workers)
         mapped, real_mmap = [], mmap.mmap
 
@@ -548,5 +551,5 @@ class TestCountBelow:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(mapped) == 1
-            assert 8 * blackbox.CHUNK <= mapped[0] + peak < 8.5 * blackbox.CHUNK
+            assert mapped == [8 * workers * blackbox.BLOCK]
+            assert peak < (workers + 1) * blackbox.BLOCK

@@ -94,6 +94,9 @@ MALFORMED = {
     "d beyond a double": document(IDENTITY_2).replace('"d": 2', '"d": 1e400'),
     "n as true": document(IDENTITY_2).replace('"n": 1', '"n": true'),
     "d too large for the file": document(IDENTITY_2).replace('"d": 2', '"d": 1000000'),
+    # d = 1 gives D = 1 whatever n says, and the box derives n = 0: each once passed
+    "d of 1 with n of 1e9": '{"version": 1, "d": 1, "n": 1000000000, "operators": [[[1, 0]]]}',
+    "d of 1 with n of 3": '{"version": 1, "d": 1, "n": 3, "operators": [[[1, 0]]]}',
 }
 
 # -0.0, the smallest subnormal, the largest finite doubles and integers, beside
@@ -119,7 +122,7 @@ def measurement_documents(draw):
     inside the pairs, with the fields in any order either way.
     """
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(0, 2 if d < 3 else 1))
+    n = draw(st.integers(0, {1: 0, 2: 2, 3: 1}[d]))
     k = draw(st.integers(1, 3))
     pairs = [[[draw(ENTRIES), draw(ENTRIES)] for _ in range(d ** (2 * n))] for _ in range(k)]
     ops = np.array(pairs, dtype=float).view(complex).reshape(k, d**n, d**n)
@@ -517,7 +520,6 @@ class TestValidateCommand:
         assert code == 2
         assert report["error"].startswith("UsageError: argument --tol: ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the Gram sum
     def test_nan_residual_fails(self, capsys, tmp_path):
         # each M^dag M overflows, so the residual is NaN: it once passed as null
         path = tmp_path / "overflow.json"
@@ -528,6 +530,27 @@ class TestValidateCommand:
         code, report = run_cli(capsys, "test", "perminv", str(path), "--epsilon", "0.5")
         assert code == 2
         assert report["error"].startswith("CompletenessViolation: ")
+
+    def test_overflow_prints_no_warning(self, tmp_path):
+        # the Gram sum's overflow once wrote numpy RuntimeWarnings to stderr,
+        # beside the report
+        path = tmp_path / "overflow.json"
+        path.write_text(document("[[[1e300, 0], [-1e300, 0], [1e300, 0], [1e300, 0]]]"))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "qmtest.cli", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert strict_json(done.stdout)["error"].startswith("CompletenessViolation: ")
+        assert done.stderr == ""
+
+    def test_one_dimensional_site_space(self, capsys, tmp_path):
+        # d = 1 with n = 0 is the one-dimensional measurement {1}
+        path = tmp_path / "trivial.json"
+        path.write_text('{"version": 1, "d": 1, "n": 0, "operators": [[[1, 0]]]}')
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 0
+        assert report["params"]["d"] == 1 and report["params"]["n"] == 0
 
     def test_zero_tolerance_is_an_option_value(self, capsys, tmp_path):
         path = tmp_path / "half.json"
@@ -785,6 +808,15 @@ class TestFixturesCommand:
         code, report = run_cli(capsys, "fixtures", kind, str(out), option, value)
         assert code == 2
         assert report["error"].startswith(f"UsageError: argument {option}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["compbasis", "perminv"])
+    def test_local_dimension_one_is_a_usage_error(self, capsys, tmp_path, kind):
+        # --d 1 once wrote a file with "n": 3 that the reader refuses
+        out = tmp_path / "out"
+        code, report = run_cli(capsys, "fixtures", kind, str(out), "--d", "1", "--n", "3")
+        assert code == 2
+        assert report["error"].startswith("UsageError: argument --d: ")
         assert not out.exists()
 
     def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, stab_file):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,26 @@ class TestStabilizerTester:
         box = BlackBox(core.validate_measurement([np.eye(3)]), seed=0)
         with pytest.raises(testers.DimensionNotPowerOfTwo):
             testers.test_stabilizer(box, testers.TesterConfig(epsilon=0.4))
+
+    def test_label_union_memory(self):
+        # a Haar-rotated 7-qubit projector pair shows most of the 4^7 labels; a
+        # Python set of the observed labels once took over 3 MB at the peak
+        n, rng = 7, np.random.default_rng(11)
+        base = pauli.stabilizer_measurement((1,) + (0,) * (n - 1), (0,) * n)
+        U = core.random_unitary(2**n, rng)
+        meas = core.validate_measurement([U @ op @ U.conj().T for op in base.operators])
+        box = BlackBox(meas, seed=0, d=2)
+        for branch in (0, 1):  # the label laws are the box's, not the union's
+            box.q_distribution(branch)
+        tracemalloc.start()
+        try:
+            v = testers.test_stabilizer(box, testers.TesterConfig(epsilon=0.4, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.reject_stage == "pauli_labels"
+        assert v.stage_stats["labels_observed"] > 4**n // 2
+        assert peak < 2 * 2**20
 
     def test_per_trial_mode_runs(self):
         # scaled-down per-trial run lands in a genuinely stochastic regime
