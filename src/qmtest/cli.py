@@ -11,8 +11,8 @@ the spellings +1, .5, 1. and 01, which JSON forbids, as numbers.
 Reports are canonical, strict JSON (sorted keys, two-space indent, non-finite
 numbers written as null) so a parse/emit round trip is byte-identical.  Exit
 codes: 0 accept/success, 1 reject/violation, 2 error; any argument error or
-exception a command raises is an error, reported as ``"error"``.  Each command
-takes only the options it reads:
+exception a command raises is an error, reported as ``"error"``, and so is a
+report that cannot be serialized.  Each command takes only the options it reads:
 
     validate PATH [--tol]
     distance PATH_A PATH_B
@@ -460,25 +460,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """An option value that must be an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _integer_at_least(low: int):
+    """An option type: a decimal integer of at least ``low``."""
 
+    def integer(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
 
-def _local_dim(text: str) -> int:
-    """A --d value: a local dimension of at least 2, since d = 1 admits only n = 0."""
-    if not text.isdecimal() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
-    return int(text)
-
-
-def _nonnegative_int(text: str) -> int:
-    """An option value that must be an integer of at least 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return integer
 
 
 def _tolerance(text: str) -> float:
@@ -518,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = _Parser(add_help=False)  # what every tester run reads
     run.add_argument("--epsilon", type=float, required=True)
-    run.add_argument("--seed", type=_nonnegative_int, default=0)
+    run.add_argument("--seed", type=_integer_at_least(0), default=0)
     run.add_argument("--scale", type=float, default=1.0,
                      help="multiplier on the sample-size constants")
     run.add_argument("--mode", choices=["per-trial", "aggregate"], default="aggregate")
@@ -553,16 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p.add_subparsers(dest="kind", required=True)
     placed = _Parser(add_help=False)
     placed.add_argument("out_dir")
-    placed.add_argument("--n", type=_positive_int, default=2)
+    placed.add_argument("--n", type=_integer_at_least(1), default=2)
     placed.set_defaults(func=cmd_fixtures)
     _leaf(kinds, "stabilizer", placed, fixtures=_stabilizer_fixtures)
     _leaf(kinds, "far-stabilizer", placed, fixtures=_far_stabilizer_fixture).add_argument(
-        "--seed", type=_nonnegative_int, default=3)
+        "--seed", type=_integer_at_least(0), default=3)
     _leaf(kinds, "klocal", placed, fixtures=_klocal_fixture)
+    # d = 1 admits only n = 0, which --n refuses
     _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture).add_argument(
-        "--d", type=_local_dim, default=2)
+        "--d", type=_integer_at_least(2), default=2)
     _leaf(kinds, "compbasis", placed, fixtures=_compbasis_fixture).add_argument(
-        "--d", type=_local_dim, default=2)
+        "--d", type=_integer_at_least(2), default=2)
 
     p = sub.add_parser("schur", help="build, verify, and cache a Schur transform")
     p.add_argument("d", type=int)
@@ -585,7 +577,12 @@ def main(argv=None) -> int:
         report["error"] = f"{type(exc).__name__}: {exc}"
         code = 2
     report["wall_time"] = round(time.monotonic() - started, 6)
-    print(emit_report(report), end="")
+    try:
+        text = emit_report(report)
+    except Exception as exc:  # e.g. metadata nested past the recursion limit
+        kept = {key: report[key] for key in ("command", "seed", "library_version", "wall_time")}
+        text, code = emit_report({**kept, "error": f"{type(exc).__name__}: {exc}"}), 2
+    print(text, end="")
     return code
 
 

@@ -96,15 +96,6 @@ def _contract_sites(T: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
     return T.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
 
 
-def _support_masks(d: int, n: int) -> np.ndarray:
-    """Bitmask of nontrivial sites per label (bit s set iff site s+1 in support)."""
-    grid = np.indices((d,) * (2 * n), sparse=True)
-    masks = np.zeros((d,) * (2 * n), dtype=np.int64)
-    for s in range(n):
-        masks |= ((grid[s] != 0) | (grid[n + s] != 0)).astype(np.int64) << s
-    return masks.reshape(-1)
-
-
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense matrix of the tensor-product operator for ``label``."""
     sites = _site_matrices(label.d)

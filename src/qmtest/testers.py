@@ -225,11 +225,13 @@ def test_klocal(box: BlackBox, k: int, cfg: TesterConfig) -> Verdict:
     consts = klocal_constants(cfg.epsilon, k, cfg.constant_scale)
     params = _run_params(cfg, box.sampling, k=k, **consts)
 
-    label_counts = box.sample_joint_label_counts(consts["L"])
-    seen = label_counts > 0
-    union_mask = int(np.bitwise_or.reduce(pauli._support_masks(d, n)[seen]))
-    union = {s + 1 for s in range(n) if union_mask >> s & 1}
-    stats = {"support_union": sorted(union), "distinct_labels": int(seen.sum())}
+    # a label's index is x * d**n + z, and site s + 1 holds digit s of x and of
+    # z, counted from the most significant; each distinct half is read once
+    seen = np.flatnonzero(box.sample_joint_label_counts(consts["L"]))
+    x, z = np.divmod(seen, d**n)
+    halves = np.flatnonzero(np.bincount(x, minlength=d**n) + np.bincount(z, minlength=d**n))
+    union = [s + 1 for s in range(n) if (halves // d ** (n - 1 - s) % d).any()]
+    stats = {"support_union": union, "distinct_labels": int(seen.size)}
     return Verdict(None if len(union) <= k else "support_size", box.query_count, stats, params)
 
 
@@ -380,7 +382,11 @@ def distance_constants(epsilon: float, k: int, scale: float = 1.0) -> dict:
     _check_k(k)
     L = _scaled_count(50000 * k**5 * math.log(40 * k) / epsilon**12, scale)
     threshold = epsilon**4 / (16 * k) - epsilon**4 / (36 * k**2)
-    return {"L": L, "threshold": threshold, "T": math.floor(threshold * L)}
+    T = math.floor(threshold * L)
+    if T < 1:  # no swap-test copies to estimate an overlap from
+        raise SampleBudgetExceeded(f"distance_constants({epsilon}, {k}, {scale}) gives "
+                                   f"T = {T} swap-test copies, fewer than 1")
+    return {"L": L, "threshold": threshold, "T": T}
 
 
 @dataclass

@@ -242,6 +242,15 @@ def support(label: pauli.PauliLabel) -> set[int]:
     return {s + 1 for s in range(len(label.x)) if label.x[s] or label.z[s]}
 
 
+def support_masks(d: int, n: int) -> np.ndarray:
+    """Bitmask of nontrivial sites per label (bit s set iff site s+1 in support)."""
+    grid = np.indices((d,) * (2 * n), sparse=True)
+    masks = np.zeros((d,) * (2 * n), dtype=np.int64)
+    for s in range(n):
+        masks |= ((grid[s] != 0) | (grid[n + s] != 0)).astype(np.int64) << s
+    return masks.reshape(-1)
+
+
 def matrix_from_mu(mu: np.ndarray, d: int, n: int) -> np.ndarray:
     """Inverse of mu_vector: A = sum_l mu_l sigma_l, by the same per-site contraction."""
     D = d**n
@@ -259,7 +268,7 @@ def f_T(A, T: set[int], d: int) -> np.ndarray:
         if not 1 <= s <= n:
             raise ValueError(f"site {s} outside 1..{n}")
         tmask |= 1 << (s - 1)
-    masks = pauli._support_masks(d, n)
+    masks = support_masks(d, n)
     keep = (masks & ~tmask) == 0
     return matrix_from_mu(np.where(keep, mu, 0), d, n)
 
@@ -313,7 +322,7 @@ def klocal_distance_lower_bound(M: Measurement, k: int, d: int = 2) -> float:
     if k >= n:
         return 0.0
     xi = pauli.xi_distribution(M, d)
-    masks = pauli._support_masks(d, n)
+    masks = support_masks(d, n)
     best_mass = 0.0
     for T in itertools.combinations(range(n), max(k, 0)):
         tmask = sum(1 << s for s in T)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import mmap
 import os
@@ -66,36 +67,43 @@ class TestSwapTest:
 
 
 class TestAggregateMultinomial:
+    """``draw_counts`` in aggregate mode: one exact multinomial draw."""
+
     def test_zero_draws(self):
-        out = blackbox.aggregate_multinomial(0, [0.2, 0.8], np.random.default_rng(0))
-        np.testing.assert_array_equal(out, [0, 0])
+        for mode in blackbox.SAMPLING_MODES:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            out = blackbox.draw_counts(0, [0.2, 0.8], rng, mode)
+            np.testing.assert_array_equal(out, [0, 0])
+            assert rng.bit_generator.state == state
 
     def test_point_mass(self):
-        out = blackbox.aggregate_multinomial(37, [1.0], np.random.default_rng(0))
-        np.testing.assert_array_equal(out, [37])
+        for mode in blackbox.SAMPLING_MODES:
+            out = blackbox.draw_counts(37, [1.0], np.random.default_rng(0), mode)
+            np.testing.assert_array_equal(out, [37])
 
     def test_counts_sum(self):
         rng = np.random.default_rng(5)
-        out = blackbox.aggregate_multinomial(10_000, [0.1, 0.2, 0.3, 0.4], rng)
+        out = blackbox.draw_counts(10_000, [0.1, 0.2, 0.3, 0.4], rng, "aggregate")
         assert out.sum() == 10_000
 
     def test_huge_count(self):
         rng = np.random.default_rng(6)
-        out = blackbox.aggregate_multinomial(3_000_000_000, [0.5, 0.5], rng)
+        out = blackbox.draw_counts(3_000_000_000, [0.5, 0.5], rng, "aggregate")
         assert out.sum() == 3_000_000_000
         assert abs(out[0] / 3e9 - 0.5) < 1e-4
 
     def test_chi_square_against_per_trial(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         rng = np.random.default_rng(7)
-        agg = blackbox.aggregate_multinomial(10_000, probs, rng)
+        agg = blackbox.draw_counts(10_000, probs, rng, "aggregate")
         per = np.bincount(rng.choice(4, size=10_000, p=probs), minlength=4)
         _, pvalue, _, _ = stats.chi2_contingency(np.stack([agg, per]))
         assert pvalue > 0.001
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            blackbox.aggregate_multinomial(10, [0.5, 0.2], np.random.default_rng(0))
+            blackbox.draw_counts(10, [0.5, 0.2], np.random.default_rng(0), "aggregate")
 
 
 class TestChoiQueries:
@@ -108,8 +116,8 @@ class TestChoiQueries:
 
     def test_stabilizer_box_balanced(self):
         meas = pauli.stabilizer_measurement((1, 0), (0, 1))
-        box = blackbox.BlackBox(meas, seed=1, d=2)
-        counts = box.query_batch(100_000)
+        box = blackbox.BlackBox(meas, seed=1, d=2, sampling="per_trial")
+        counts = box.sample_outcome_counts(100_000)
         assert counts.sum() == 100_000
         assert abs(counts[0] / 100_000 - 0.5) < 3 * math.sqrt(0.25 / 100_000)
         assert box.query_count == 100_000
@@ -119,9 +127,18 @@ class TestChoiQueries:
 
     def test_seed_reproducibility(self):
         meas = comp_basis_measurement(4)
-        seq1 = blackbox.BlackBox(meas, seed=9).query_batch(100)
-        seq2 = blackbox.BlackBox(meas, seed=9).query_batch(100)
-        np.testing.assert_array_equal(seq1, seq2)
+        for mode in blackbox.SAMPLING_MODES:
+            seq1 = blackbox.BlackBox(meas, seed=9, sampling=mode).sample_outcome_counts(100)
+            seq2 = blackbox.BlackBox(meas, seed=9, sampling=mode).sample_outcome_counts(100)
+            np.testing.assert_array_equal(seq1, seq2)
+
+    def test_batch_names_are_the_samplers(self):
+        # the traced benchmark wraps query_batch and label_batch and reads
+        # their L and T; they are the sample_* methods, in either mode
+        assert blackbox.BlackBox.query_batch is blackbox.BlackBox.sample_outcome_counts
+        assert blackbox.BlackBox.label_batch is blackbox.BlackBox.sample_label_counts
+        assert "L" in inspect.signature(blackbox.BlackBox.query_batch).parameters
+        assert "T" in inspect.signature(blackbox.BlackBox.label_batch).parameters
 
     def test_aggregate_counting(self):
         box = blackbox.BlackBox(comp_basis_measurement(4), seed=2)
@@ -151,17 +168,17 @@ class TestPauliBasisMeasurement:
     def test_joint_law_of_total_probability(self):
         rng = np.random.default_rng(11)
         meas = oracles.random_measurement(4, 3, rng)
-        box = blackbox.BlackBox(meas, seed=12, d=2)
+        box = blackbox.BlackBox(meas, seed=12, d=2, sampling="per_trial")
         draws = 100_000
         counts = np.zeros(16, dtype=np.int64)
         expected = np.zeros(16, dtype=np.int64)
-        outcomes = box.query_batch(draws)
+        outcomes = box.sample_outcome_counts(draws)
         stream = np.random.default_rng(12)
         np.testing.assert_array_equal(
             outcomes, oracles.per_trial_counts(draws, box.choi_probs(), stream, blackbox.CHUNK))
         for i in np.flatnonzero(outcomes):
             hits = int(outcomes[i])
-            counts += box.label_batch(int(i), hits)
+            counts += box.sample_label_counts(int(i), hits)
             expected += oracles.per_trial_counts(hits, box.q_distribution(int(i)), stream,
                                                  blackbox.CHUNK)
         np.testing.assert_array_equal(counts, expected)
@@ -375,9 +392,40 @@ def forbid_threads(monkeypatch):
     monkeypatch.setattr(threading, "Thread", no_thread)
 
 
+class TestDrawCounts:
+    """``draw_counts`` draws what numpy would, counts and end state alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=laws(), total=st.sampled_from((0, 1, 2, 63, 1000)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy(self, p, total, seed):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            blackbox.draw_counts(total, p, rng, "per_trial"),
+            np.bincount(oracle.choice(p.size, size=total, p=p), minlength=p.size))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        np.testing.assert_array_equal(blackbox.draw_counts(total, p, rng, "aggregate"),
+                                      oracle.multinomial(total, p / p.sum()))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.one_of(st.sampled_from((0.0, 1.0, 5e-324)), st.floats(0.0, 1.0)),
+           total=st.sampled_from((0, 1, 7, 1000, 10**12)), seed=st.integers(0, 2**32 - 1))
+    def test_bernoulli_count(self, p, total, seed):
+        # p + (1 - p) rounds to exactly 1, so the law's first count is the
+        # binomial count in aggregate and the uniforms below p per trial
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert blackbox.draw_counts(total, (p, 1.0 - p), rng, "aggregate")[0] == \
+            oracle.binomial(total, p)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        trials = min(total, 10**5)
+        assert blackbox.draw_counts(trials, (p, 1.0 - p), rng, "per_trial")[0] == \
+            oracles.per_trial_successes(trials, p, oracle, blackbox.CHUNK)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 class TestCountBelow:
-    """``count_below`` and ``choice_counts`` against one index per trial drawn by
-    ``Generator.choice`` and one uniform per trial compared with p."""
+    """``count_below`` and per-trial ``draw_counts`` against one index per trial
+    drawn by ``Generator.choice`` and one uniform per trial compared with p."""
 
     @settings(max_examples=150, deadline=None)
     @given(p=laws(), chunk=st.sampled_from((7, 64)), workers=st.integers(1, 4),
@@ -395,7 +443,7 @@ class TestCountBelow:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(blackbox, "CHUNK", chunk)
             mp.setattr(blackbox, "_cores", lambda: workers)
-            counts = blackbox.choice_counts(total, p, rng)
+            counts = blackbox.draw_counts(total, p, rng, "per_trial")
             np.testing.assert_array_equal(counts, oracles.per_trial_counts(total, p, oracle, chunk))
             assert rng.bit_generator.state == oracle.bit_generator.state
             successes = int(blackbox.count_below(total, [success], rng)[0])
@@ -414,7 +462,7 @@ class TestCountBelow:
         rng, oracle = np.random.default_rng(17), np.random.default_rng(17)
         for k in (3, 17, 256):
             p = np.full(k, 1 / k)
-            np.testing.assert_array_equal(blackbox.choice_counts(total, p, rng),
+            np.testing.assert_array_equal(blackbox.draw_counts(total, p, rng, "per_trial"),
                                           oracles.per_trial_counts(total, p, oracle, 64))
         cuts = np.linspace(0.05, 0.95, 40)
         below = blackbox.count_below(total, cuts, rng)
@@ -452,21 +500,26 @@ class TestCountBelow:
             blackbox.count_below(blackbox.MAX_DRAWS + 1, [0.5], rng)
         with pytest.raises(ValueError, match="non-negative"):
             blackbox.count_below(-1, [0.5], rng)
+        for mode in blackbox.SAMPLING_MODES:
+            with pytest.raises(blackbox.SampleBudgetExceeded):
+                blackbox.draw_counts(blackbox.MAX_DRAWS + 1, [0.5, 0.5], rng, mode)
+            with pytest.raises(ValueError, match="non-negative"):
+                blackbox.draw_counts(-1, [0.5, 0.5], rng, mode)
         for p in ([np.nan, 1.0], [-0.1, 1.1], [0.5, 0.5 + 1e-7], [0.5, np.inf], []):
             with pytest.raises(ValueError):
                 np.random.default_rng(0).choice(len(p), size=100, p=p)
             with pytest.raises(ValueError):
-                blackbox.choice_counts(100, p, rng)
+                blackbox.draw_counts(100, p, rng, "per_trial")
         assert rng.bit_generator.state == state
         box = blackbox.BlackBox(comp_basis_measurement(4), seed=0, d=2, sampling="per_trial")
         with pytest.raises(blackbox.SampleBudgetExceeded):
-            box.query_batch(blackbox.MAX_DRAWS + 1)
+            box.sample_outcome_counts(blackbox.MAX_DRAWS + 1)
         assert box.query_count == 0
 
     def test_law_within_tolerance_accepted(self):
         # ``choice`` allows a sum off 1 by up to sqrt(eps) and so does the count
         p = [0.5, 0.5 + 1e-9]
-        counts = blackbox.choice_counts(1000, p, np.random.default_rng(4))
+        counts = blackbox.draw_counts(1000, p, np.random.default_rng(4), "per_trial")
         expected = oracles.per_trial_counts(1000, p, np.random.default_rng(4), blackbox.CHUNK)
         np.testing.assert_array_equal(counts, expected)
 
@@ -477,12 +530,12 @@ class TestCountBelow:
     def test_both_modes_check_a_law_alike(self, p, accepted):
         # aggregate and per-trial draws accept and refuse the same laws, by
         # ``choice``'s rules: a negative entry is refused however small
-        for sample in (blackbox.aggregate_multinomial, blackbox.choice_counts):
+        for mode in blackbox.SAMPLING_MODES:
             if accepted:
-                assert sample(100, p, np.random.default_rng(0)).sum() == 100
+                assert blackbox.draw_counts(100, p, np.random.default_rng(0), mode).sum() == 100
             else:
                 with pytest.raises(ValueError):
-                    sample(100, p, np.random.default_rng(0))
+                    blackbox.draw_counts(100, p, np.random.default_rng(0), mode)
         if not accepted:
             with pytest.raises(ValueError):
                 np.random.default_rng(0).choice(len(p), size=100, p=p)
@@ -492,7 +545,7 @@ class TestCountBelow:
         with pytest.raises(blackbox.UnsupportedGenerator, match="MT19937"):
             blackbox.count_below(10, [0.5], rng)
         with pytest.raises(blackbox.UnsupportedGenerator):
-            blackbox.choice_counts(10, [0.5, 0.5], rng)
+            blackbox.draw_counts(10, [0.5, 0.5], rng, "per_trial")
         box_m, box_n = overlap_boxes(0.5, "per_trial")
         with pytest.raises(blackbox.UnsupportedGenerator):
             blackbox.paired_swap_zeros(box_m, box_n, 0, 10, rng)

@@ -322,6 +322,23 @@ class TestReports:
         text = cli.emit_report({"a": math.inf, "b": np.float64("nan"), "c": [-math.inf, 1.0]})
         assert strict_json(text) == {"a": None, "b": None, "c": [None, 1.0]}
 
+    @pytest.mark.parametrize("depth", [400, 600, 900])
+    def test_deep_metadata_keeps_the_exit_code_contract(self, tmp_path, depth):
+        # metadata nested 600 and 900 deep once exited 1 with a RecursionError
+        # traceback from the serializer, and no report
+        path = tmp_path / "deep.json"
+        nested = "[" * depth + "]" * depth
+        path.write_text(document(IDENTITY_2, ', "metadata": {"deep": ' + nested + "}"))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "qmtest.cli", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode in (0, 2)
+        report = strict_json(done.stdout)
+        assert ("error" in report) == (done.returncode == 2)
+        if done.returncode == 2:
+            assert set(report) == {"command", "seed", "library_version", "error", "wall_time"}
+
     def test_unexpected_exception_exits_2(self, capsys, stab_file, monkeypatch):
         def broken(box, cfg):
             raise RuntimeError("sampler broke")
@@ -742,14 +759,24 @@ class TestEstimateCommand:
         # one uniform for about 5.6e301 iterations unless the budget is checked
         (("test", "perminv", "{trivial}", "--epsilon", "0.3", "--scale", "1e300"),
          "SampleBudgetExceeded"),
+        # T = floor(threshold * L) is 0 swap-test copies: an overlap estimate from
+        # no copies once divided by zero
+        (("estimate", "{z}", "{x}", "--epsilon", "0.5", "--scale", "1e-9"),
+         "SampleBudgetExceeded"),
+        (("estimate", "{z}", "{x}", "--identity", "--epsilon", "0.5", "--scale", "1e-12"),
+         "SampleBudgetExceeded"),
     ], ids=["scale-nan", "scale-inf", "stabilizer-underflow", "perminv-underflow",
-            "estimate-underflow", "perminv-budget"])
+            "estimate-underflow", "perminv-budget", "estimate-no-copies",
+            "identity-no-copies"])
     def test_sample_sizes_that_cannot_run(self, capsys, tmp_path, stab_file, stab_file_other,
                                           argv, error):
         trivial = tmp_path / "trivial.json"
         cli.save_measurement(trivial, core.validate_measurement([np.eye(4), np.zeros((4, 4))]),
                              2, 2)
         files = {"a": stab_file, "b": stab_file_other, "trivial": trivial}
+        for name, x, z in (("z", (0,), (1,)), ("x", (1,), (0,))):
+            files[name] = tmp_path / f"{name}.json"
+            cli.save_measurement(files[name], pauli.stabilizer_measurement(x, z), 2, 1)
         for mode in ("aggregate", "per-trial"):
             code, report = run_cli(capsys, *(arg.format(**files) for arg in argv),
                                    "--mode", mode)

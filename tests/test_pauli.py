@@ -176,7 +176,7 @@ class TestTransformOracle:
     def test_support_masks_match_each_label(self, d, n):
         expected = [sum(1 << (s - 1) for s in oracles.support(lbl))
                     for lbl in oracles.all_labels(d, n)]
-        np.testing.assert_array_equal(pauli._support_masks(d, n), expected)
+        np.testing.assert_array_equal(oracles.support_masks(d, n), expected)
 
     def test_mu_vector_memory_is_a_few_operators(self, rng):
         # (2, 7): D = 128, so 8 complex D x D arrays are 2 MB; a table over

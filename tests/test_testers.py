@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmtest import blackbox, core, metric, pauli, schur, testers
 from qmtest.blackbox import BlackBox
@@ -248,6 +250,26 @@ class TestKLocalTester:
         cfg = testers.TesterConfig(epsilon=0.4, seed=0)
         v = testers.test_klocal(BlackBox(meas, seed=0, d=3), 1, cfg)
         assert v.accepted
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from((2, 3)), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           labels=st.sampled_from((0, 1, 2, 3, 0.05, 0.5, 1.0)))
+    def test_support_union_is_the_or_of_the_seen_masks(self, d, n, seed, labels):
+        # the union read from the seen labels' digits equals the OR of every
+        # seen label's support mask, for a few labels or a share of them all
+        gen = np.random.default_rng(seed)
+        size = d ** (2 * n)
+        counts = np.zeros(size, dtype=np.int64)
+        if isinstance(labels, int):
+            counts[gen.integers(0, size, labels)] = gen.integers(1, 9, labels)
+        else:
+            counts[gen.random(size) < labels] = 1
+        box = BlackBox(core.validate_measurement([np.eye(d**n)]), seed=0, d=d)
+        box.sample_joint_label_counts = lambda L: counts
+        v = testers.test_klocal(box, n, testers.TesterConfig(epsilon=0.5))
+        mask = int(np.bitwise_or.reduce(oracles.support_masks(d, n)[counts > 0]))
+        assert v.stage_stats["support_union"] == [s + 1 for s in range(n) if mask >> s & 1]
+        assert v.stage_stats["distinct_labels"] == np.count_nonzero(counts)
 
     @pytest.mark.parametrize("mode", blackbox.SAMPLING_MODES)
     def test_box_without_d_is_refused_before_any_draw(self, mode):
