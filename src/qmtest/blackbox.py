@@ -288,11 +288,13 @@ class BlackBox:
         if self.d != 2:
             raise ValueError("sign measurement is defined for qubits only")
         op = self._hidden.operators[outcome]
-        sigma = pauli.pauli_matrix(label)
-        num = float(np.trace((np.eye(self.dim) + sigma) / 2 @ op @ op.conj().T).real)
-        den = float(np.trace(op.conj().T @ op).real)
+        den = float(np.vdot(op, op).real)
         if den < 1e-14:
             raise ZeroOperator("sign distribution undefined for a zero operator")
+        # sigma|j> = phase_j |row_j>, so tr(sigma M M^dag) is
+        # sum_j phase_j <M[row_j, :], M[j, :]>: no dense Pauli, no D x D product
+        rows, phases = pauli._pauli_action(label)
+        num = (den + np.vdot(op[rows], phases[:, None] * op).real) / 2
         return min(max(num / den, 0.0), 1.0)
 
     def sample_failure_count(self, W: int, p_fail: float) -> int:

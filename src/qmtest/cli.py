@@ -264,19 +264,30 @@ def load_schur_cache(path) -> schur.SchurBasis:
 
 
 def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set)):
-        return [_jsonable(v) for v in sorted(obj)] if isinstance(obj, set) else [
-            _jsonable(v) for v in obj
-        ]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    """A JSON-ready copy of ``obj``: dict keys as strings; tuples, sets
+    (sorted) and arrays as lists; numpy numbers as Python ones; non-finite
+    floats as None.  It keeps the containers still to convert on a list, so
+    nesting costs no stack frames."""
+    top = [obj]
+    todo = [top]
+    while todo:
+        container = todo.pop()
+        for key in list(container) if isinstance(container, dict) else range(len(container)):
+            value = container[key]
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            if isinstance(value, dict):
+                value = {str(k): v for k, v in value.items()}
+                todo.append(value)
+            elif isinstance(value, (list, tuple, set)):
+                value = sorted(value) if isinstance(value, set) else list(value)
+                todo.append(value)
+            elif isinstance(value, np.integer):
+                value = int(value)
+            elif isinstance(value, (float, np.floating)):
+                value = float(value) if math.isfinite(value) else None
+            container[key] = value
+    return top[0]
 
 
 def emit_report(report: dict) -> str:
@@ -557,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--d", type=_integer_at_least(2), default=2)
 
     p = sub.add_parser("schur", help="build, verify, and cache a Schur transform")
-    p.add_argument("d", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("d", type=_integer_at_least(2))
+    p.add_argument("n", type=_integer_at_least(1))
     p.add_argument("out")
     p.set_defaults(func=cmd_schur)
 
@@ -579,7 +590,7 @@ def main(argv=None) -> int:
     report["wall_time"] = round(time.monotonic() - started, 6)
     try:
         text = emit_report(report)
-    except Exception as exc:  # e.g. metadata nested past the recursion limit
+    except Exception as exc:  # e.g. a value json cannot write
         kept = {key: report[key] for key in ("command", "seed", "library_version", "wall_time")}
         text, code = emit_report({**kept, "error": f"{type(exc).__name__}: {exc}"}), 2
     print(text, end="")

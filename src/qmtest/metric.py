@@ -2,9 +2,9 @@
 
 The operator distance is inf over a relative phase of the scaled Frobenius
 norm |A - e^{i theta} B|_F / sqrt(2D); the measurement distance is the root
-of the per-outcome sum of squares, which collapses to
-1 - (1/D) sum_i |<M_i, N_i>| by completeness.  Both the closed forms and a
-direct numeric minimization are provided so each can certify the other.  For
+of the per-outcome sum of squares, which collapses to the one closed form
+1 - (1/D) sum_i |<M_i, N_i>| by completeness.  A direct norm at each
+outcome's minimizing phase checks it without assuming completeness.  For
 the stabilizer family there is a certified distance: the nearest two-outcome
 Pauli projector pair, from one Pauli transform.
 """
@@ -18,65 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pauli
-from .core import (
-    DimensionMismatch,
-    Measurement,
-    as_operator,
-    hs_inner,
-)
-
-_GOLDEN = (math.sqrt(5) - 1) / 2
-_GRID = 256  # phase probes of the numeric scan
-
-
-def delta_op(A, B) -> float:
-    """Closed-form operator distance sqrt((<A,A>+<B,B>-2|<A,B>|)/(2D))."""
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    D = A.shape[0]
-    val = (np.vdot(A, A).real + np.vdot(B, B).real - 2 * abs(np.vdot(A, B))) / (2 * D)
-    return math.sqrt(max(val, 0.0))
-
-
-def delta_op_numeric(A, B) -> float:
-    """Oracle for delta_op: grid scan over the phase plus golden-section polish.
-
-    Evaluates |A - e^{i theta} B|_F directly at every probe so the result is
-    independent of the closed form it checks.
-    """
-    A = as_operator(A)
-    B = as_operator(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    scale = 1.0 / math.sqrt(2 * A.shape[0])
-
-    def f(theta: float) -> float:
-        return scale * float(np.linalg.norm(A - np.exp(1j * theta) * B))
-
-    thetas = np.linspace(0.0, 2 * math.pi, _GRID, endpoint=False)
-    values = [f(t) for t in thetas]
-    j = int(np.argmin(values))
-    step = 2 * math.pi / _GRID
-    lo, hi = thetas[j] - step, thetas[j] + step
-    # golden-section: the objective is sinusoidal in theta, so the grid
-    # brackets the global minimum and the section search converges cleanly
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best = min(values[j], f1, f2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        best = min(best, f1, f2)
-    return best
+from .core import DimensionMismatch, Measurement, hs_inner
 
 
 @dataclass(frozen=True)
@@ -90,33 +32,34 @@ class DistanceReport:
 def delta_measurement(M: Measurement, N: Measurement) -> DistanceReport:
     """Distance between measurements, outcomes paired by index.
 
-    The shorter list is padded with zero operators.  Computes both the
-    per-outcome sum and the 1 - (1/D) sum |<M_i,N_i>| form and checks they
-    agree; for distinct stabilizer measurements this gives delta^2 = 1/2,
-    i.e. delta = 1/sqrt(2) ~ 0.70711.
+    The shorter list is padded with zero operators.  By completeness the
+    per-outcome infimum over a phase collapses to
+    delta^2 = 1 - (1/D) sum_i |<M_i,N_i>|; for distinct stabilizer
+    measurements this gives delta^2 = 1/2, i.e. delta = 1/sqrt(2) ~ 0.70711.
     """
     if M.dim != N.dim:
         raise DimensionMismatch("measurements live on different dimensions")
     pairs = [(M.operator(i), N.operator(i)) for i in range(max(len(M), len(N)))]
-    terms = np.array([delta_op(a, b) ** 2 for a, b in pairs])
     overlap_sum = sum(abs(hs_inner(a, b)) for a, b in pairs)
-    total = float(terms.sum())
-    closed = 1.0 - overlap_sum / M.dim
-    if abs(total - closed) > 1e-10:
-        raise ArithmeticError(
-            f"distance forms disagree: sum {total} vs closed {closed}"
-        )
-    dsq = max(closed, 0.0)
+    dsq = max(1.0 - overlap_sum / M.dim, 0.0)
     return DistanceReport(delta=math.sqrt(dsq), delta_squared=dsq)
 
 
 def delta_measurement_numeric(M: Measurement, N: Measurement) -> DistanceReport:
-    """Oracle counterpart of delta_measurement built from the phase scans."""
+    """Cross-check of delta_measurement that assumes no completeness.
+
+    Evaluates each |M_i - e^{i theta_i} N_i|_F directly at the minimizing
+    phase theta_i = arg tr(N_i^dag M_i) and returns the root of their sum of
+    squares over 2D, in O(k D^2).
+    """
     if M.dim != N.dim:
         raise DimensionMismatch("measurements live on different dimensions")
-    total = float(np.sum([delta_op_numeric(M.operator(i), N.operator(i)) ** 2
-                          for i in range(max(len(M), len(N)))]))
-    return DistanceReport(delta=math.sqrt(max(total, 0.0)), delta_squared=total)
+    total = 0.0
+    for i in range(max(len(M), len(N))):
+        a, b = M.operator(i), N.operator(i)
+        total += float(np.linalg.norm(a - np.exp(1j * np.angle(np.vdot(b, a))) * b)) ** 2
+    dsq = total / (2 * M.dim)
+    return DistanceReport(delta=math.sqrt(dsq), delta_squared=dsq)
 
 
 class StabilizerScan(NamedTuple):

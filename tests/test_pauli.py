@@ -59,6 +59,15 @@ class TestPauliMatrix:
                 assert abs(core.hs_inner(a, b) - expected) < 1e-12
 
 
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2)])
+    def test_action_is_the_dense_matrix(self, d, n):
+        # sigma|j> = phase_j |row_j> rebuilds pauli_matrix entry for entry
+        for lbl in oracles.all_labels(d, n):
+            rows, phases = pauli._pauli_action(lbl)
+            dense = np.zeros((d**n, d**n), dtype=complex)
+            dense[rows, np.arange(d**n)] = phases
+            np.testing.assert_array_equal(dense, pauli.pauli_matrix(lbl))
+
 class TestProductPhase:
     def test_identity_factor(self):
         eye = pauli.PauliLabel((0, 0), (0, 0))
