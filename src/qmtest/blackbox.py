@@ -11,7 +11,9 @@ probability (1/D) sum_i |twirl(M_i)|_F^2 (``schur_audit``); no basis is built.
 
 The box owns the sampling mode, fixed at construction, and every count a
 tester draws, from the box's stream or from an apparatus stream beside two
-boxes (``paired_swap_zeros``), is one ``draw_counts`` call in that mode.
+boxes (``paired_swap_zeros``), is one ``draw_counts`` call in that mode: per
+trial, one uniform per trial from the law it draws.  Only this module reads
+the hidden measurement.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import threading
 import numpy as np
 
 from . import pauli, schur
-from .core import Measurement, QmtestError, ZeroOperator, hs_inner
+from .core import Measurement, QmtestError, ZeroOperator, hs_inner, unit_overlap
 
 SAMPLING_MODES = ("aggregate", "per_trial")
 # a draw gets one span (thread) per core, but at most one per CHUNK uniforms begun
@@ -192,11 +194,10 @@ class BlackBox:
     Testers interact only through the sampling methods; the hidden measurement
     is an implementation detail of the simulation.  ``d`` must be supplied for
     the label-level samplers (the hidden dimension must be a power of d), and
-    ``n`` is derived from it.  The box keeps the laws that a run draws from
-    more than once: the outcome law, each outcome's label law and the
-    symmetry-check pass probability.  The joint label law and the sign
-    probabilities are computed on each call, since a tester asks for each
-    of them once.  Every count is drawn by ``draw_counts`` in the box's mode.
+    ``n`` is derived from it.  Every law is computed on each call, since a
+    tester draws from each once; the box keeps only the symmetry-check pass
+    probability, which ``test_perminv`` reads and ``sample_first_failure``
+    draws with.
     """
 
     def __init__(self, measurement: Measurement, seed=None, d: int | None = None,
@@ -209,8 +210,6 @@ class BlackBox:
         self.query_count = 0
         self.d = d
         self.n = pauli._power_check(measurement.dim, d) if d is not None else None
-        self._choi_probs: np.ndarray | None = None
-        self._q_dists: dict[int, np.ndarray] = {}
         self._pass_prob: float | None = None
 
     @property
@@ -223,10 +222,8 @@ class BlackBox:
 
     def choi_probs(self) -> np.ndarray:
         """Outcome law of the entangled query: p(M_i) = |M_i|_F^2/D."""
-        if self._choi_probs is None:
-            p = self._hidden.outcome_probs()
-            self._choi_probs = p / p.sum()
-        return self._choi_probs
+        p = self._hidden.outcome_probs()
+        return p / p.sum()
 
     def sample_outcome_counts(self, L: int) -> np.ndarray:
         """Outcome counts of L entangled queries; charges L queries."""
@@ -241,10 +238,7 @@ class BlackBox:
     def q_distribution(self, outcome: int) -> np.ndarray:
         """Pauli-label law of the post-state for the given outcome."""
         self._require_label_space()
-        if outcome not in self._q_dists:
-            op = self._hidden.operators[outcome]
-            self._q_dists[outcome] = pauli.q_distribution(op, self.d)
-        return self._q_dists[outcome]
+        return pauli.q_distribution(self._hidden.operators[outcome], self.d)
 
     def sample_label_counts(self, outcome: int, T: int) -> np.ndarray:
         """Label counts of T Pauli-basis measurements on one branch's post-state.
@@ -261,20 +255,13 @@ class BlackBox:
     def sample_joint_label_counts(self, L: int) -> np.ndarray:
         """Label counts of L query-then-label rounds; charges L queries.
 
-        Per trial, all L queries come first, then the labels of each observed
-        outcome in ascending outcome order.  In aggregate, the counts are one
-        multinomial draw from the law of (outcome, then label) marginalized to
-        labels, sum_i |mu(M_i)|^2.
+        A round's label follows the law of (outcome, then label) marginalized to
+        labels, xi = sum_i |mu(M_i)|^2 (since sum_i p_i q_i = xi), so the counts
+        are one ``draw_counts`` from xi: per trial, one uniform per round.
         """
         self._require_label_space()
-        if self.sampling == "per_trial":
-            outcomes = self.sample_outcome_counts(L)
-            counts = np.zeros(self.d ** (2 * self.n), dtype=np.int64)
-            for i in np.nonzero(outcomes)[0]:
-                counts += self.sample_label_counts(int(i), int(outcomes[i]))
-            return counts
-        xi = pauli.xi_distribution(self._hidden, self.d)
-        counts = draw_counts(L, xi, self.rng, self.sampling)
+        counts = draw_counts(L, pauli.xi_distribution(self._hidden, self.d), self.rng,
+                             self.sampling)
         self.query_count += L
         return counts
 
@@ -313,6 +300,12 @@ class BlackBox:
                 mass += float(np.vdot(hat, hat).real)
             self._pass_prob = min(mass / self.dim, 1.0)
         return self._pass_prob
+
+    def reference_overlaps(self, member: Measurement, k: int) -> list:
+        """<v~(A_j)|v~(M_j)> between ``member``'s outcomes A_j and the hidden ones
+        M_j for j < k, zero-padded, 0 where either vanishes: the finite-set
+        check's overlaps of a member's reference state with the box's."""
+        return [unit_overlap(member.operator(j), self._hidden.operator(j)) for j in range(k)]
 
     def schur_iteration(self) -> bool:
         """One full symmetry-check iteration (query, transform, compare, measure).

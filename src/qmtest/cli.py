@@ -186,7 +186,7 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
         data = Path(path).read_bytes()
         text = data.decode("utf-8")
         fields = _fields(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
         raise FileFormatError(f"cannot parse {path}: {exc}") from exc
     if fields.get("version") != FILE_VERSION:
         raise FileFormatError(

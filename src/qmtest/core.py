@@ -49,6 +49,16 @@ def hs_inner(A, B) -> complex:
     return complex(np.vdot(A, B))
 
 
+def unit_overlap(A, B) -> complex:
+    """tr(A^dag B) / (|A|_F |B|_F), the overlap of the normalized vectorized
+    operators; 0 when either operator vanishes."""
+    na = float(np.linalg.norm(A))
+    nb = float(np.linalg.norm(B))
+    if na < 1e-14 or nb < 1e-14:
+        return 0.0
+    return hs_inner(A, B) / (na * nb)
+
+
 @dataclass(frozen=True)
 class Measurement:
     """Ordered operators M_1..M_k with sum_i M_i^dag M_i = I.

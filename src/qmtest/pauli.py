@@ -26,7 +26,6 @@ from .core import (
     QmtestError,
     ZeroOperator,
     as_operator,
-    choi_prob,
     validate_measurement,
 )
 
@@ -98,16 +97,15 @@ def _contract_sites(T: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense matrix of the tensor-product operator for ``label``."""
-    sites = _site_matrices(label.d)
-    out = np.ones((1, 1), dtype=np.complex128)
-    for x, z in zip(label.x, label.z):
-        out = np.kron(out, sites[x, z])
+    rows, phases = _pauli_action(label)
+    out = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    out[rows, np.arange(rows.size)] = phases
     return out
 
 
 def _pauli_action(label: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
     """(rows, phases) with sigma|j> = phases[j] |rows[j]> for ``label``'s
-    operator, built site by site in ``pauli_matrix``'s Kronecker order."""
+    operator, built site by site in Kronecker order (site 1 most significant)."""
     sites = _site_matrices(label.d)
     cols = np.arange(label.d)
     rows, phases = np.zeros(1, dtype=np.intp), np.ones(1, dtype=np.complex128)
@@ -159,13 +157,13 @@ def q_distribution(M_i, d: int) -> np.ndarray:
     """Label distribution |mu_{x,z}(M_i)|^2 / p(M_i) in label order."""
     M_i = as_operator(M_i)
     n = _power_check(M_i.shape[0], d)
-    p = choi_prob(M_i)
-    if p < 1e-14:
-        raise ZeroOperator("q-distribution undefined for a (near-)zero operator")
     weights = np.abs(mu_vector(M_i, d, n)) ** 2
     # by Parseval, sum |mu|^2 = |M_i|_F^2 / d^n = p(M_i); dividing by the
     # computed sum rather than by p makes the law sum to 1 up to rounding
-    return weights / weights.sum()
+    p = weights.sum()
+    if p < 1e-14:
+        raise ZeroOperator("q-distribution undefined for a (near-)zero operator")
+    return weights / p
 
 
 def xi_distribution(meas: Measurement, d: int) -> np.ndarray:

@@ -432,10 +432,6 @@ def isotypic_projectors(basis: SchurBasis) -> Measurement:
     """Projective measurement onto the partition blocks, in the standard basis."""
     from .core import validate_measurement
 
-    ops = []
-    for shape in basis.shapes:
-        offset, w, v = basis.blocks[shape]
-        diag = np.zeros(basis.D)
-        diag[offset : offset + w * v] = 1.0
-        ops.append(basis.U.conj().T @ np.diag(diag) @ basis.U)
-    return validate_measurement(ops)
+    # the block's rows V of U span its image, so its projector is V^dag V
+    blocks = [basis.U[basis.block_slice(shape)] for shape in basis.shapes]
+    return validate_measurement([V.conj().T @ V for V in blocks])

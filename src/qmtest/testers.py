@@ -31,7 +31,7 @@ import numpy as np
 
 from . import metric, pauli
 from .blackbox import BlackBox, SampleBudgetExceeded, paired_swap_zeros, shared_sampling
-from .core import DimensionMismatch, Measurement, QmtestError, choi_prob, hs_inner
+from .core import DimensionMismatch, Measurement, QmtestError, choi_prob, unit_overlap
 
 
 class DimensionNotPowerOfTwo(DimensionMismatch):
@@ -297,14 +297,6 @@ def _log_overlap_product(pairs, counts) -> complex:
     return math.exp(log_mag) * complex(math.cos(phase), math.sin(phase))
 
 
-def _unit_choi_overlap(A, B) -> complex:
-    na = float(np.linalg.norm(A))
-    nb = float(np.linalg.norm(B))
-    if na < 1e-14 or nb < 1e-14:
-        return 0.0
-    return hs_inner(A, B) / (na * nb)
-
-
 def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) -> Verdict:
     """Accepts measurements that match some member of the finite family.
 
@@ -328,28 +320,24 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
         return Verdict("outcome_support", box.query_count, stats, params)
     counts = np.pad(counts, (0, max(0, k - counts.size)))[:k]
 
-    surviving = []
-    for idx, member in enumerate(members.members):
-        ok = True
-        for j in range(k):
-            if counts[j] >= consts["count_threshold"]:
-                if choi_prob(member.operator(j)) < (1 - 0.1 * a**2) * counts[j] / L:
-                    ok = False
-                    break
-        if ok:
-            surviving.append(idx)
+    # a member survives when it gives every frequent outcome enough weight
+    frequent = [j for j in range(k) if counts[j] >= consts["count_threshold"]]
+    surviving = [idx for idx, member in enumerate(members.members)
+                 if all(choi_prob(member.operator(j)) >= (1 - 0.1 * a**2) * counts[j] / L
+                        for j in frequent)]
     stats["surviving_members"] = surviving
     if not surviving:
         return Verdict("member_filter", box.query_count, stats, params)
 
-    # the surviving members' reference states, then the box's as the last one
-    refs = [members.members[i] for i in surviving] + [box._hidden]
+    # the surviving members' reference states, then the box's as the last one,
+    # whose overlaps with the members the box computes
+    refs = [members.members[i] for i in surviving]
     t = len(surviving)
     full = np.eye(t + 1, dtype=np.complex128)
     for r in range(t):
         for s in range(r + 1, t + 1):
-            pairs = [_unit_choi_overlap(refs[r].operator(j), refs[s].operator(j))
-                     for j in range(k)]
+            pairs = (box.reference_overlaps(refs[r], k) if s == t else
+                     [unit_overlap(refs[r].operator(j), refs[s].operator(j)) for j in range(k)])
             val = _log_overlap_product(pairs, counts)
             full[r, s] = val
             full[s, r] = np.conj(val)

@@ -301,11 +301,21 @@ def pauli_product_phase(ab: pauli.PauliLabel, cd: pauli.PauliLabel) -> complex:
     return complex(beta)
 
 
+def pauli_matrix_kron(label: pauli.PauliLabel) -> np.ndarray:
+    """``pauli.pauli_matrix`` as the Kronecker product of the site matrices: the
+    build that the scatter of ``pauli._pauli_action`` replaced."""
+    sites = pauli._site_matrices(label.d)
+    out = np.ones((1, 1), dtype=np.complex128)
+    for x, z in zip(label.x, label.z):
+        out = np.kron(out, sites[x, z])
+    return out
+
+
 def sign_plus_prob_dense(meas: Measurement, outcome: int, label: pauli.PauliLabel) -> float:
     """Oracle for BlackBox.sign_plus_prob from the dense Pauli:
     tr((I + sigma)/2 M_i M_i^dag) / tr(M_i^dag M_i), clipped to [0, 1]."""
     op = meas.operators[outcome]
-    sigma = pauli.pauli_matrix(label)
+    sigma = pauli_matrix_kron(label)
     num = float(np.trace((np.eye(meas.dim) + sigma) / 2 @ op @ op.conj().T).real)
     den = float(np.trace(op.conj().T @ op).real)
     if den < 1e-14:

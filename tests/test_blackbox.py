@@ -196,6 +196,48 @@ class TestPauliBasisMeasurement:
         nz = set(np.nonzero(counts)[0])
         assert nz == {0, oracles.label_index(pauli.PauliLabel((1, 1, 1), (0, 0, 0)))}
 
+    @pytest.mark.parametrize("L", [1, 50_000, blackbox.CHUNK + 7])
+    def test_per_trial_joint_draw_is_one_uniform_per_round(self, L):
+        # each round's label is drawn from xi = sum_i p_i q_i with one uniform,
+        # as choice(p=xi) draws it, and the stream is left where choice leaves it
+        meas = oracles.random_measurement(4, 3, np.random.default_rng(21))
+        xi = pauli.xi_distribution(meas, 2)
+        box = blackbox.BlackBox(meas, seed=22, d=2, sampling="per_trial")
+        stream = np.random.default_rng(22)
+        np.testing.assert_array_equal(box.sample_joint_label_counts(L),
+                                      oracles.per_trial_counts(L, xi, stream, blackbox.CHUNK))
+        assert box.rng.bit_generator.state == stream.bit_generator.state
+        assert box.query_count == L
+
+    def test_aggregate_joint_draw_is_one_multinomial(self):
+        meas = oracles.random_measurement(4, 3, np.random.default_rng(23))
+        xi = pauli.xi_distribution(meas, 2)
+        box = blackbox.BlackBox(meas, seed=24, d=2)
+        np.testing.assert_array_equal(box.sample_joint_label_counts(10_000),
+                                      np.random.default_rng(24).multinomial(10_000, xi / xi.sum()))
+
+
+class TestReferenceOverlaps:
+    def test_unit_overlaps_with_zero_padding(self):
+        # tr(A_j^dag M_j) / (|A_j| |M_j|) for each outcome j < k, and 0 where a
+        # measurement has fewer than k outcomes
+        rng = np.random.default_rng(25)
+        hidden = oracles.random_measurement(4, 3, rng)
+        box = blackbox.BlackBox(hidden, seed=0)
+        k = 4
+        for member in (oracles.random_measurement(4, 2, rng), hidden,
+                       oracles.random_measurement(4, 4, rng)):
+            expected = []
+            for j in range(k):
+                a, m = member.operator(j), hidden.operator(j)
+                na, nm = float(np.linalg.norm(a)), float(np.linalg.norm(m))
+                expected.append(0.0 if min(na, nm) < 1e-14 else
+                                complex(np.vdot(a, m)) / (na * nm))
+            overlaps = box.reference_overlaps(member, k)
+            assert overlaps == expected
+            assert overlaps[3] == 0.0
+        assert box.reference_overlaps(hidden, 3) == pytest.approx([1.0] * 3)
+
 
 class TestSignMeasurement:
     def test_stabilizer_branches_deterministic(self):

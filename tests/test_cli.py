@@ -35,6 +35,15 @@ def run_cli(capsys, *args):
     return code, strict_json(out) if out else None
 
 
+def validate_in_subprocess(path) -> subprocess.CompletedProcess:
+    """``python -m qmtest.cli validate path`` in a fresh interpreter, whose stack
+    depth does not depend on the test runner's."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "qmtest.cli", "validate", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture
 def stab_file(tmp_path):
     meas = pauli.stabilizer_measurement((0, 1), (1, 0))
@@ -329,10 +338,7 @@ class TestReports:
         path = tmp_path / "deep.json"
         nested = "[" * depth + "]" * depth
         path.write_text(document(IDENTITY_2, ', "metadata": {"deep": ' + nested + "}"))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "qmtest.cli", "validate", str(path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = validate_in_subprocess(path)
         assert done.returncode == 0
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + 2 * depth)  # parsing and comparing recurse per level
@@ -340,6 +346,16 @@ class TestReports:
             assert strict_json(done.stdout)["metadata"] == {"deep": json.loads(nested)}
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_metadata_too_deep_to_read_is_a_format_error(self, tmp_path):
+        # past the reader's limit json's scanner raises RecursionError: the file
+        # cannot be read, which is a format error like any other
+        path = tmp_path / "deeper.json"
+        nested = "[" * 2000 + "]" * 2000
+        path.write_text(document(IDENTITY_2, ', "metadata": {"deep": ' + nested + "}"))
+        done = validate_in_subprocess(path)
+        assert done.returncode == 2
+        assert strict_json(done.stdout)["error"].startswith("FileFormatError: cannot parse ")
 
     def test_unexpected_exception_exits_2(self, capsys, stab_file, monkeypatch):
         def broken(box, cfg):
@@ -555,10 +571,7 @@ class TestValidateCommand:
         # beside the report
         path = tmp_path / "overflow.json"
         path.write_text(document("[[[1e300, 0], [-1e300, 0], [1e300, 0], [1e300, 0]]]"))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-m", "qmtest.cli", "validate", str(path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = validate_in_subprocess(path)
         assert done.returncode == 1
         assert strict_json(done.stdout)["error"].startswith("CompletenessViolation: ")
         assert done.stderr == ""

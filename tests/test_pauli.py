@@ -61,12 +61,10 @@ class TestPauliMatrix:
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2)])
     def test_action_is_the_dense_matrix(self, d, n):
-        # sigma|j> = phase_j |row_j> rebuilds pauli_matrix entry for entry
+        # pauli_matrix scatters sigma|j> = phase_j |row_j>; the Kronecker
+        # product of the site matrices is the same matrix entry for entry
         for lbl in oracles.all_labels(d, n):
-            rows, phases = pauli._pauli_action(lbl)
-            dense = np.zeros((d**n, d**n), dtype=complex)
-            dense[rows, np.arange(d**n)] = phases
-            np.testing.assert_array_equal(dense, pauli.pauli_matrix(lbl))
+            np.testing.assert_array_equal(pauli.pauli_matrix(lbl), oracles.pauli_matrix_kron(lbl))
 
 class TestProductPhase:
     def test_identity_factor(self):

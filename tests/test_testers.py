@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -334,6 +335,11 @@ class TestPermInvTester:
 
 
 class TestFiniteSetTester:
+    def test_testers_never_read_the_hidden_measurement(self):
+        # the box is the one reader of its measurement: testers see its draws
+        # and the overlaps it computes
+        assert "_hidden" not in inspect.getsource(testers)
+
     def test_gamma_and_k(self, members):
         assert members.gamma == pytest.approx(1 / math.sqrt(2))
         assert members.k == 2
