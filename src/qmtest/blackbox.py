@@ -26,7 +26,7 @@ import threading
 import numpy as np
 
 from . import pauli, schur
-from .core import Measurement, QmtestError, ZeroOperator, hs_inner, unit_overlap
+from .core import Measurement, QmtestError, ZeroOperator, unit_overlap
 
 SAMPLING_MODES = ("aggregate", "per_trial")
 # a draw gets one span (thread) per core, but at most one per CHUNK uniforms begun
@@ -349,22 +349,6 @@ class BlackBox:
         return first
 
 
-def hidden_choi_overlap(box_m: BlackBox, box_n: BlackBox, outcome: int) -> float:
-    """|<v~(M_i)|v~(N_i)>| from the hidden operators.
-
-    Simulator privilege: drives swap-test draws without materializing
-    tensor-power states.  Tester logic never reads this directly; it only
-    consumes the resulting samples.
-    """
-    a = box_m._hidden.operator(outcome)
-    b = box_n._hidden.operator(outcome)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < 1e-14 or nb < 1e-14:
-        raise ZeroOperator("overlap undefined when an operator vanishes")
-    return min(abs(hs_inner(a, b)) / (na * nb), 1.0)
-
-
 def shared_sampling(box_m: BlackBox, box_n: BlackBox) -> str:
     """The sampling mode of two boxes queried side by side; they must agree."""
     if box_m.sampling != box_n.sampling:
@@ -377,10 +361,13 @@ def paired_swap_zeros(box_m: BlackBox, box_n: BlackBox, outcome: int, copies: in
     """Zero-outcome count of ``copies`` swap tests on matching post-states.
 
     A swap test on states with overlap lambda gives 0 with probability
-    (1 + lambda^2)/2.  The overlap comes from the hidden operators; callers
-    see only the sampled count, never the overlap itself.  ``rng`` is the
-    tester's apparatus stream; the boxes' shared mode decides how it is drawn.
+    (1 + lambda^2)/2, lambda = |``unit_overlap``| of the nonzero hidden
+    operators; callers see only the sampled count, never the overlap.  ``rng``
+    is the tester's apparatus stream; the boxes' shared mode decides its draw.
     """
-    overlap = hidden_choi_overlap(box_m, box_n, outcome)
+    a, b = box_m._hidden.operator(outcome), box_n._hidden.operator(outcome)
+    if min(np.linalg.norm(a), np.linalg.norm(b)) < 1e-14:
+        raise ZeroOperator("overlap undefined when an operator vanishes")
+    overlap = min(abs(unit_overlap(a, b)), 1.0)
     p0 = (1.0 + overlap**2) / 2.0
     return int(draw_counts(copies, (p0, 1.0 - p0), rng, shared_sampling(box_m, box_n))[0])

@@ -20,7 +20,7 @@ report that cannot be serialized.  Each command takes only the options it reads:
         klocal also needs --k; finite-set needs --set MEMBER, repeatable
     estimate PATH_A PATH_B --epsilon [--seed --scale --mode --identity]
     fixtures stabilizer|far-stabilizer|klocal|perminv|compbasis OUT_DIR [--n]
-        far-stabilizer also takes --seed; perminv and compbasis take --d (at least 2)
+        far-stabilizer takes --seed; perminv (any n, d^n <= 1024) and compbasis take --d >= 2
     schur D N OUT
 
 ``estimate`` takes no outcome bound: the estimator derives it as the larger
@@ -398,9 +398,9 @@ def make_far_projective_fixture(n: int, seed: int = 3):
 def cmd_fixtures(ns, report) -> int:
     report["seed"] = getattr(ns, "seed", None)  # only far-stabilizer takes --seed
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, meas, d, metadata in ns.fixtures(ns):
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once a fixture is built
         save_measurement(out_dir / name, meas, d, ns.n, metadata)
         written.append(name)
     report["written"] = written
@@ -434,9 +434,8 @@ def _klocal_fixture(ns):
 
 
 def _perminv_fixture(ns):
-    basis = schur.build_schur_transform(ns.d, ns.n)
-    yield (f"isotypic_d{ns.d}_n{ns.n}.json", schur.isotypic_projectors(basis), ns.d,
-           {"kind": "perminv", "blocks": list(basis.shapes)})
+    yield (f"isotypic_d{ns.d}_n{ns.n}.json", schur.isotypic_projectors(ns.d, ns.n), ns.d,
+           {"kind": "perminv", "blocks": schur.partitions(ns.n, ns.d)})
 
 
 def _compbasis_fixture(ns):

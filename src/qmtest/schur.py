@@ -1,17 +1,19 @@
-"""The symmetry projection and the symmetry-adapted (Schur) basis.
+"""The symmetry projection, the isotypic projectors and the Schur basis.
 
 ``twirl`` projects an operator onto the commutant of the site permutations,
 the group average (1/n!) sum_p P_p A P_p^dag, by O(n^2) axis swaps and no
 basis; the permutation-invariance tester's symmetry check
-(``BlackBox.schur_audit``) uses it alone.
+(``BlackBox.schur_audit``) uses it alone.  ``isotypic_projectors`` builds no
+basis either: its blocks are eigenspaces of a central element in Jucys-Murphy
+elements, the content sum plus the squared contents, as content sums alone
+collide: (4, 1, 1) and (3, 3) both give 3.
 
-The Schur basis is kept where block labels matter: ``qmtest schur``, the
-isotypic-projector fixtures, and the tests' oracle for the twirl.  For n
-qudits, the permutation action and the collective action E^{(x)n} commute, and
-the space splits into blocks labelled by partitions of n with at most d parts.
-The transform is built numerically: Young's orthogonal representation on
-standard tableaux gives group-algebra matrix units, whose images carve out the
-blocks.
+The Schur basis serves only ``qmtest schur`` and the tests' oracles for the
+twirl and the projectors.  For n qudits, the permutation action and the
+collective action E^{(x)n} commute, and the space splits into blocks labelled
+by partitions of n with at most d parts.  The transform is built numerically:
+Young's orthogonal representation on standard tableaux gives group-algebra
+matrix units, whose images carve out the blocks.
 
 Every basis, built here or read from a cache, goes through one constructor,
 ``SchurBasis.from_unitary``, which lays out the blocks and verifies U.  The
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, Measurement, QmtestError, as_operator
+from .core import DimensionMismatch, Measurement, QmtestError, as_operator, validate_measurement
 
 Partition = tuple[int, ...]
 
@@ -428,10 +430,32 @@ def block_decompose(A, basis: SchurBasis) -> BlockDecomposition:
     return BlockDecomposition(hat=hat, per_lambda_hat=per_lambda)
 
 
-def isotypic_projectors(basis: SchurBasis) -> Measurement:
-    """Projective measurement onto the partition blocks, in the standard basis."""
-    from .core import validate_measurement
-
-    # the block's rows V of U span its image, so its projector is V^dag V
-    blocks = [basis.U[basis.block_slice(shape)] for shape in basis.shapes]
-    return validate_measurement([V.conj().T @ V for V in blocks])
+def isotypic_projectors(d: int, n: int) -> Measurement:
+    """Projective measurement onto the partition blocks, in partitions() order,
+    for d, n >= 1 with d^n <= MAX_DIM; n has no cap, as nothing n!-sized is built.
+    X_k = sum_{j<k} (j k) acts on block lambda as the content of the box holding
+    k, so the real symmetric Z = (n^3 + 1) sum_k X_k + sum_k X_k^2 is
+    (n^3 + 1) sum c + sum c^2 there, fixing both sums as 0 <= sum c^2 <= n^3.  A
+    block whose eigenspace of Z has the wrong rank raises VerificationFailure.
+    """
+    D = d**n
+    if D > MAX_DIM:
+        raise ValueError(f"d^n must stay <= {MAX_DIM}")
+    eye, Z = np.eye(D), np.zeros((D, D))
+    for k in range(1, n):
+        rows = [_perm_row_map(tuple({j: k, k: j}.get(s, s) for s in range(n)), d)
+                for j in range(k)]
+        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)  # P_(j k) A = A[r], as P = P^T
+        Z += sum(X[r] for r in rows)  # (n^3 + 1) X_k + X_k^2
+    values, vectors = np.linalg.eigh(Z)
+    # permutations keep each digit multiset's span: no block has entries between two
+    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, D), axis=0)
+    projectors = []
+    for shape in partitions(n, d):
+        c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])
+        V = vectors[:, np.abs(values - (n**3 + 1) * c.sum() - c @ c) < 0.5]
+        rank = dim_gl(shape, d) * dim_sn(shape)
+        if V.shape[1] != rank:
+            raise VerificationFailure(f"block {shape} has rank {V.shape[1]}, expected {rank}")
+        projectors.append(np.where(keys[:, None] == keys, V @ V.T, 0.0))
+    return validate_measurement(projectors)

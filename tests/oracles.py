@@ -461,6 +461,14 @@ def schur_rep_matrix(basis: schur.SchurBasis, perm, shape) -> np.ndarray:
     return reps[tuple(perm)][basis.shapes.index(shape)]
 
 
+def isotypic_projectors_from_basis(basis: schur.SchurBasis) -> Measurement:
+    """Projective measurement onto the partition blocks, in the standard basis,
+    from the Schur basis: the build ``schur.isotypic_projectors`` replaced."""
+    # the block's rows V of U span its image, so its projector is V^dag V
+    blocks = [basis.U[basis.block_slice(shape)] for shape in basis.shapes]
+    return validate_measurement([V.conj().T @ V for V in blocks])
+
+
 def permutation_operator(perm, d: int) -> np.ndarray:
     """Unitary relocating site s to site perm[s] (0-based images).
 

@@ -133,8 +133,7 @@ def test_c05_klocal_tester():
 
 def test_c06_perminv_tester():
     start = time.perf_counter()
-    basis = schur.build_schur_transform(2, 2)
-    iso = schur.isotypic_projectors(basis)
+    iso = schur.isotypic_projectors(2, 2)
     comp = comp_basis_measurement(4)
     cfg = testers.TesterConfig(epsilon=0.5, seed=0)
     iso_accepts = sum(

@@ -869,6 +869,33 @@ class TestFixturesCommand:
         loaded, d, n, meta = cli.load_measurement(tmp_path / report["written"][0])
         assert len(loaded) == 2  # two partition blocks at (2, 2)
 
+    def test_perminv_fixture_past_six_sites(self, capsys, tmp_path):
+        code, report = run_cli(capsys, "fixtures", "perminv", str(tmp_path), "--n", "7")
+        assert code == 0
+        loaded, d, n, meta = cli.load_measurement(tmp_path / report["written"][0])
+        assert (len(loaded), d, n) == (4, 2, 7)
+        assert meta["blocks"] == "[(7,), (6, 1), (5, 2), (4, 3)]"
+
+    def test_perminv_fixture_builds_no_schur_basis(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fixtures perminv must not build a Schur transform")
+
+        monkeypatch.setattr(schur, "build_schur_transform", refuse)
+        monkeypatch.setattr(schur, "verify_schur_basis", refuse)
+        code, report = run_cli(capsys, "fixtures", "perminv", str(tmp_path), "--d", "3",
+                               "--n", "3")
+        assert code == 0
+        loaded, _, _, _ = cli.load_measurement(tmp_path / report["written"][0])
+        assert len(loaded) == 3
+
+    def test_oversized_perminv_makes_no_directory(self, capsys, tmp_path):
+        # OUT is made only once the first fixture is built; 2^11 > 1024
+        out = tmp_path / "out"
+        code, report = run_cli(capsys, "fixtures", "perminv", str(out), "--n", "11")
+        assert code == 2
+        assert report["error"] == "ValueError: d^n must stay <= 1024"
+        assert not out.exists()
+
     def test_klocal_and_compbasis(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "fixtures", "klocal", str(tmp_path), "--n", "3")
         assert code == 0
@@ -940,8 +967,7 @@ class TestSchurCommand:
         # writes no transform
         cache = tmp_path / "schur_2_3.bin"
         path = tmp_path / "iso.json"
-        cli.save_measurement(path, schur.isotypic_projectors(schur.build_schur_transform(2, 3)),
-                             2, 3, {})
+        cli.save_measurement(path, schur.isotypic_projectors(2, 3), 2, 3, {})
 
         def refuse(*args, **kwargs):
             raise AssertionError("test perminv must not build or load a Schur transform")

@@ -340,7 +340,7 @@ class TestKLocalDistance:
 
 class TestPermInvDistance:
     def test_invariant_input(self):
-        iso = schur.isotypic_projectors(schur.build_schur_transform(2, 2))
+        iso = schur.isotypic_projectors(2, 2)
         N, bound = oracles.nearest_perminv(iso)
         assert bound <= 1e-6
 

@@ -240,8 +240,8 @@ def perminv_defect(M, d):
 
 
 class TestPermInvDefect:
-    def test_invariant_measurement(self, basis22):
-        iso = schur.isotypic_projectors(basis22)
+    def test_invariant_measurement(self):
+        iso = schur.isotypic_projectors(2, 2)
         assert perminv_defect(iso, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_trivial_measurement(self):
@@ -307,21 +307,71 @@ class TestTwirl:
         assert box.schur_audit() == pytest.approx((n + 1) / (2 * n), abs=1e-12)
 
 
-class TestIsotypicProjectors:
-    def test_projector_properties(self, basis23):
-        iso = schur.isotypic_projectors(basis23)
-        assert len(iso) == len(basis23.shapes)
-        for op, shape in zip(iso.operators, basis23.shapes):
-            np.testing.assert_allclose(op @ op, op, atol=1e-10)
-            _, w, v = basis23.blocks[shape]
-            assert np.trace(op).real == pytest.approx(w * v, abs=1e-10)
+BASIS_SIZES = [(d, n) for d in (1, 2, 3, 4) for n in range(1, 7) if d**n <= 256]
 
-    def test_commutes_with_permutations(self, basis23):
-        iso = schur.isotypic_projectors(basis23)
+
+class TestIsotypicProjectors:
+    def test_projector_properties(self):
+        iso = schur.isotypic_projectors(2, 3)
+        shapes = schur.partitions(3, 2)
+        assert len(iso) == len(shapes)
+        for op, shape in zip(iso.operators, shapes):
+            np.testing.assert_allclose(op @ op, op, atol=1e-10)
+            rank = schur.dim_gl(shape, 2) * schur.dim_sn(shape)
+            assert np.trace(op).real == pytest.approx(rank, abs=1e-10)
+
+    def test_commutes_with_permutations(self):
+        iso = schur.isotypic_projectors(2, 3)
         for p in itertools.permutations(range(3)):
             tau = oracles.permutation_operator(p, 2)
             for op in iso.operators:
                 assert np.linalg.norm(tau @ op - op @ tau) <= 1e-10
+
+    @pytest.mark.parametrize("d,n", BASIS_SIZES)
+    def test_matches_the_basis_projectors(self, d, n):
+        got = schur.isotypic_projectors(d, n).operators
+        want = oracles.isotypic_projectors_from_basis(schur.build_schur_transform(d, n))
+        assert len(got) == len(want)
+        for a, b in zip(got, want.operators):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
+    def test_no_entries_between_digit_multisets(self, d, n):
+        # permutations keep the span of each digit multiset, so entries between
+        # two spans are exact zeros, as the basis build wrote them
+        digits = np.sort(np.array(np.unravel_index(np.arange(d**n), (d,) * n)).T, axis=1)
+        other_span = (digits[:, None, :] != digits[None, :, :]).any(axis=2)
+        for op in schur.isotypic_projectors(d, n).operators:
+            assert not np.any(op[other_span])
+
+    def test_contents_and_squares_split_six_qutrits(self):
+        # (4, 1, 1) and (3, 3) share the content sum 3; the squared contents
+        # (19 against 7) keep their blocks apart
+        iso = schur.isotypic_projectors(3, 6)
+        ranks = [round(float(np.trace(op).real)) for op in iso.operators]
+        assert ranks == [28, 175, 243, 100, 50, 128, 5]
+        assert iso.completeness_residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_past_the_basis_site_cap(self, n):
+        iso = schur.isotypic_projectors(2, n)
+        shapes = schur.partitions(n, 2)
+        assert len(iso) == len(shapes)
+        assert iso.completeness_residual <= 1e-12
+        for op, shape in zip(iso.operators, shapes):
+            np.testing.assert_allclose(schur.twirl(op, 2, n), op, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(op @ op, op, rtol=0, atol=1e-12)
+            rank = schur.dim_gl(shape, 2) * schur.dim_sn(shape)
+            assert np.trace(op).real == pytest.approx(rank, abs=1e-10)
+
+    def test_rank_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(schur, "dim_gl", lambda shape, d: 1)
+        with pytest.raises(schur.VerificationFailure, match="rank"):
+            schur.isotypic_projectors(2, 3)
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="must stay <= 1024"):
+            schur.isotypic_projectors(2, 11)
 
 
 def _swap_rows_across_blocks(basis):

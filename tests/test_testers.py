@@ -289,7 +289,7 @@ def members():
 
 class TestPermInvTester:
     def test_accepts_isotypic(self):
-        iso = schur.isotypic_projectors(schur.build_schur_transform(2, 2))
+        iso = schur.isotypic_projectors(2, 2)
         cfg = testers.TesterConfig(epsilon=0.5, seed=0)
         for s in range(20):
             v = testers.test_perminv(BlackBox(iso, seed=s, d=2), cfg)
