@@ -20,8 +20,13 @@ report that cannot be serialized.  Each command takes only the options it reads:
         klocal also needs --k; finite-set needs --set MEMBER, repeatable
     estimate PATH_A PATH_B --epsilon [--seed --scale --mode --identity]
     fixtures stabilizer|far-stabilizer|klocal|perminv|compbasis OUT_DIR [--n]
-        far-stabilizer takes --seed; perminv (any n, d^n <= 1024) and compbasis take --d >= 2
+        far-stabilizer takes --seed; perminv and compbasis take --d >= 2, the rest d = 2
     schur D N OUT
+        d >= 2 and n >= 1 with d^n <= 1024
+
+``fixtures`` refuses a run, before it builds anything or makes OUT_DIR, when
+d^n exceeds 1024 or its files x outcomes x (d^n)^2 operator entries exceed
+16 x 1024^2: compbasis stops at d^n = 256 and stabilizer at n = 5.
 
 ``estimate`` takes no outcome bound: the estimator derives it as the larger
 outcome count of the two files.  ``test perminv`` accepts ``--schur-cache``
@@ -64,6 +69,8 @@ _ENTRIES = bytes.maketrans(_NUMBER_BYTES + b"[,]", b"n" * len(_NUMBER_BYTES) + b
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 SCHUR_MAGIC = b"QMSCHURB"
 SCHUR_VERSION = 1
+# the most operator entries one ``fixtures`` run builds: 16 operators of the largest dimension
+FIXTURE_ENTRIES = 16 * schur.MAX_DIM**2
 
 
 class FileFormatError(QmtestError):
@@ -246,15 +253,22 @@ def save_schur_cache(basis: schur.SchurBasis, path):
 
 
 def load_schur_cache(path) -> schur.SchurBasis:
+    """Read a cache that ``save_schur_cache`` wrote; a malformed header or
+    payload raises FileFormatError."""
     raw = Path(path).read_bytes()
     if raw[:8] != SCHUR_MAGIC:
         raise FileFormatError(f"{path}: bad magic")
-    version, d, n = struct.unpack("<III", raw[8:20])
+    if len(raw) < 24:
+        raise FileFormatError(f"{path}: {len(raw)} bytes cannot hold the 24-byte header")
+    version, d, n, D = struct.unpack("<IIII", raw[8:24])
     if version != SCHUR_VERSION:
         raise FileFormatError(f"{path}: unknown cache version {version}")
-    (D,) = struct.unpack("<I", raw[20:24])
-    if D != d**n:
-        raise FileFormatError(f"{path}: header dimension mismatch")
+    # d >= 2, so d^n = D bounds n by D's bit length, checked before d**n is formed
+    if not (d >= 2 and 1 <= n <= D.bit_length() and D <= schur.MAX_DIM and d**n == D):
+        raise FileFormatError(f"{path}: header d = {d}, n = {n}, D = {D} is not "
+                              f"d^n = D <= {schur.MAX_DIM} with d >= 2 and n >= 1")
+    if len(raw) != 24 + 16 * D * D:
+        raise FileFormatError(f"{path}: payload of {len(raw) - 24} bytes, expected {16 * D * D}")
     U = np.frombuffer(raw[24:], dtype="<c16").reshape(D, D).copy()
     return schur.SchurBasis.from_unitary(d, n, U)
 
@@ -397,6 +411,11 @@ def make_far_projective_fixture(n: int, seed: int = 3):
 
 def cmd_fixtures(ns, report) -> int:
     report["seed"] = getattr(ns, "seed", None)  # only far-stabilizer takes --seed
+    D = schur.checked_dimension(ns.d, ns.n)
+    files, outcomes = ns.count(ns)
+    if files * outcomes * D * D > FIXTURE_ENTRIES:
+        raise ValueError(f"files x outcomes x (d^n)^2 = {files} x {outcomes} x {D}^2 "
+                         f"must stay <= 16 x {schur.MAX_DIM}^2 = {FIXTURE_ENTRIES}")
     out_dir = Path(ns.out_dir)
     written = []
     for name, meas, d, metadata in ns.fixtures(ns):
@@ -555,15 +574,19 @@ def build_parser() -> argparse.ArgumentParser:
     placed = _Parser(add_help=False)
     placed.add_argument("out_dir")
     placed.add_argument("--n", type=_integer_at_least(1), default=2)
-    placed.set_defaults(func=cmd_fixtures)
-    _leaf(kinds, "stabilizer", placed, fixtures=_stabilizer_fixtures)
+    # count: (files, outcomes) of a run, so its size is checked before anything is built
+    placed.set_defaults(func=cmd_fixtures, d=2, count=lambda ns: (1, 2))
+    _leaf(kinds, "stabilizer", placed, fixtures=_stabilizer_fixtures,
+          count=lambda ns: (4**ns.n - 1, 2))
     _leaf(kinds, "far-stabilizer", placed, fixtures=_far_stabilizer_fixture).add_argument(
         "--seed", type=_integer_at_least(0), default=3)
     _leaf(kinds, "klocal", placed, fixtures=_klocal_fixture)
     # d = 1 admits only n = 0, which --n refuses
-    _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture).add_argument(
+    _leaf(kinds, "perminv", placed, fixtures=_perminv_fixture,
+          count=lambda ns: (1, len(schur.partitions(ns.n, ns.d)))).add_argument(
         "--d", type=_integer_at_least(2), default=2)
-    _leaf(kinds, "compbasis", placed, fixtures=_compbasis_fixture).add_argument(
+    _leaf(kinds, "compbasis", placed, fixtures=_compbasis_fixture,
+          count=lambda ns: (1, ns.d**ns.n)).add_argument(
         "--d", type=_integer_at_least(2), default=2)
 
     p = sub.add_parser("schur", help="build, verify, and cache a Schur transform")

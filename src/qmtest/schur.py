@@ -11,36 +11,37 @@ collide: (4, 1, 1) and (3, 3) both give 3.
 The Schur basis serves only ``qmtest schur`` and the tests' oracles for the
 twirl and the projectors.  For n qudits, the permutation action and the
 collective action E^{(x)n} commute, and the space splits into blocks labelled
-by partitions of n with at most d parts.  The transform is built numerically:
-Young's orthogonal representation on standard tableaux gives group-algebra
-matrix units, whose images carve out the blocks.
+by partitions of n with at most d parts.  The transform is built numerically
+from the same Jucys-Murphy eigenvectors: each block's first-tableau vectors are
+a joint eigenspace of X_2..X_n, and Young's orthogonal form steps from them to
+every other tableau; nothing n!-sized is built, so d^n <= MAX_DIM is the only
+size limit.
 
 Every basis, built here or read from a cache, goes through one constructor,
 ``SchurBasis.from_unitary``, which lays out the blocks and verifies U.  The
 permutation part of the check runs on the n - 1 adjacent transpositions
 s_j = (j, j+1) alone.  Both p -> U P_p U^dag and p -> (+)_lambda I_w (x)
 rho_lambda(p) are homomorphisms (the site permutation unitaries have
-P_{p s} = P_p P_s, and ``_group_representations`` builds
-rho(p s_j) = rho(p) rho(s_j)), and every permutation is a word of at most
-n(n-1)/2 generators, so the generator residuals bound the residual of all n!
-permutations; see ``verify_schur_basis``.  Each U P_{s_j} is a column gather
-of U, and no dense permutation matrix is built.
+P_{p s} = P_p P_s, and rho_lambda is a representation, of which
+``_yor_generators`` gives the generators), and every permutation is a word of
+at most n(n-1)/2 generators, so the generator residuals bound the residual of
+all n! permutations; see ``verify_schur_basis``.  Each U P_{s_j} is a column
+gather of U, and no dense permutation matrix is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .core import DimensionMismatch, Measurement, QmtestError, as_operator, validate_measurement
+from .core import (DimensionMismatch, Measurement, QmtestError, as_operator, random_unitary,
+                   validate_measurement)
 
 Partition = tuple[int, ...]
 
 MAX_DIM = 1024
-MAX_SITES = 6
 
 
 class VerificationFailure(QmtestError):
@@ -95,6 +96,14 @@ def dim_sn(shape: Partition) -> int:
 def dim_gl(shape: Partition, d: int) -> int:
     """Dimension of the GL(d) irrep: product of (d + col - row) over the hook product."""
     return _hook_quotient((d + j - i for i, j in hook_lengths(shape)), shape)
+
+
+def checked_dimension(d: int, n: int) -> int:
+    """d^n for d, n >= 1; ValueError when it exceeds MAX_DIM.  With d >= 2, an
+    n past MAX_DIM's bit length is refused before d**n is formed."""
+    if d > 1 and n > MAX_DIM.bit_length() or d**n > MAX_DIM:
+        raise ValueError(f"d^n must stay <= {MAX_DIM}")
+    return d**n
 
 
 def _perm_row_map(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -192,36 +201,6 @@ def _yor_generators(shape: Partition) -> list[np.ndarray]:
     return gens
 
 
-@lru_cache(maxsize=16)
-def _group_representations(n: int, shapes: tuple[Partition, ...]):
-    """Orthogonal-representation matrices of every permutation of n sites.
-
-    Returns (perms, reps) where reps[perm][j] is the matrix for shapes[j].
-    Built by breadth-first composition from adjacent transpositions, so the
-    map is a homomorphism for the composition (p*s)(x) = p(s(x)).
-    """
-    gens = {shape: _yor_generators(shape) for shape in shapes}
-    identity = tuple(range(n))
-    reps = {identity: tuple(np.eye(dim_sn(s)) for s in shapes)}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            mats = reps[p]
-            for j in range(n - 1):
-                q = list(p)
-                q[j], q[j + 1] = q[j + 1], q[j]
-                q = tuple(q)
-                if q not in reps:
-                    reps[q] = tuple(
-                        mats[s] @ gens[shape][j] for s, shape in enumerate(shapes)
-                    )
-                    nxt.append(q)
-        frontier = nxt
-    perms = sorted(reps)
-    return perms, reps
-
-
 @dataclass(frozen=True)
 class SchurBasis:
     """Unitary change of basis plus the label bookkeeping.
@@ -277,36 +256,39 @@ def _block_layout(d: int, n: int) -> tuple[tuple[Partition, ...], dict]:
     return shapes, blocks
 
 
-def _matrix_unit_image(cells: np.ndarray, coefs: np.ndarray, D: int) -> np.ndarray:
-    """Dense image sum_p coefs[p] P_p of a group-algebra element.
-
-    ``cells[p]`` holds the flat (row * D + col) entries where P_p is 1.  Each
-    entry sums its nonzero terms in permutation order, starting from zero.
-    """
-    keep = coefs != 0.0
-    weights = np.repeat(coefs[keep], D)
-    return np.bincount(cells[keep].ravel(), weights=weights, minlength=D * D).reshape(D, D)
-
-
 def build_schur_transform(d: int, n: int) -> SchurBasis:
-    """Construct and verify the symmetry-adapted transform for (d, n)."""
+    """Construct and verify the symmetry-adapted transform for (d, n).
+
+    Young's orthogonal basis is the Gelfand-Tsetlin basis, on which X_k acts as
+    the content of the box holding k (Okounkov and Vershik, arXiv:math/0503040).
+    Within block lambda, the eigenspace of each X_k at its content in the first
+    tableau T_0 is the image of the matrix unit e_00, and Gram-Schmidt over its
+    projector's columns gives the seeds.  Every other tableau T is s_i T' for an
+    earlier T', as swapping i and i + 1 with i + 1 in a higher row gives a
+    smaller standard tableau, and P_{s_i}|T'> = g[T', T']|T'> + g[T, T']|T>
+    with g = rho(s_i) gives |T>.
+    """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
-    if d**n > MAX_DIM or n > MAX_SITES:
-        raise ValueError(f"d^n must stay <= {MAX_DIM} with n <= {MAX_SITES}")
+    gathers, spaces = _jucys_murphy_blocks(d, n)
     shapes, blocks = _block_layout(d, n)
-    perms, reps = _group_representations(n, shapes)
     D = d**n
-    cells = np.stack([_perm_row_map(p, d) for p in perms]) * D + np.arange(D)
     U = np.zeros((D, D), dtype=np.complex128)
-    for s, shape in enumerate(shapes):
+    for shape, V in zip(shapes, spaces):
         offset, w, v = blocks[shape]
-        # coefs[p, b]: coefficient of p in the matrix unit e^shape_{b,0}
-        coefs = v / math.factorial(n) * np.array([reps[p][s][:, 0] for p in perms])
-        seeds = _orthonormal_image(_matrix_unit_image(cells, coefs[:, 0], D), w, shape)
-        columns = [seeds] + [
-            _matrix_unit_image(cells, coefs[:, b], D) @ seeds for b in range(1, v)
-        ]
+        # T_0 holds 1..n in reading order, so contents[k] is the content of k + 1
+        contents = [c - r for r, length in enumerate(shape) for c in range(length)]
+        for k, rows in enumerate(gathers, start=1):
+            values, vectors = np.linalg.eigh(V.T @ sum(V[r] for r in rows))  # V^T X_{k+1} V
+            V = V @ vectors[:, np.abs(values - contents[k]) < 0.5]
+        columns = [_orthonormal_image(V @ V.T, w, shape)]
+        gens = _yor_generators(shape)
+        for b in range(1, v):
+            # off the diagonal, gens[i] couples T only to T' = s_i T
+            i, earlier = next((i, e) for i, g in enumerate(gens) for e in np.flatnonzero(g[b, :b]))
+            g, prev = gens[i], columns[earlier]
+            swapped = prev[_perm_row_map(_adjacent_transposition(i, n), d)]  # P_{s_i} |T'>
+            columns.append((swapped - g[earlier, earlier] * prev) / g[b, earlier])
         # row offset + a*v + b is the bra of column a of columns[b]
         U[offset : offset + w * v] = np.stack(columns).transpose(2, 0, 1).reshape(w * v, D).conj()
     return SchurBasis.from_unitary(d, n, U)
@@ -340,11 +322,14 @@ def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     """Check unitarity and both intertwining block structures.
 
     ``unitarity`` is |U U^dag - I|_F.  ``collective_blocks`` is the largest
-    distance of U E^{(x)n} U^dag from its I_v-factored part over 20 random E
-    drawn from a generator with the fixed seed 20240801, so a basis always
-    gets the same residuals.  ``permutation_blocks`` bounds
-    |U P_p U^dag - (+)_lambda I_w (x) rho_lambda(p)|_F over all n!
-    permutations p, from the n - 1 adjacent transpositions alone.  With r
+    distance of U E^{(x)n} U^dag from its I_v-factored part over 20 Haar-random
+    unitaries E drawn from a generator with the fixed seed 20240801, so a basis
+    always gets the same residuals.  A unitary E keeps |E^{(x)n}| at 1, so the
+    residual tracks the unitarity residual at every size; a Gaussian E grows
+    like |E|^n, and at (2, 10) its rounding alone read 1.2e-8.
+    ``permutation_blocks`` bounds |U P_p U^dag - (+)_lambda I_w (x)
+    rho_lambda(p)|_F over all n! permutations p, from the n - 1 adjacent
+    transpositions alone.  With r
     the largest generator residual, eta the unitarity residual and
     a = r + eta, appending a generator to a word of residual e gives a
     residual of at most e + a + e r + eta^2 <= (e + a)(1 + a), and every p
@@ -359,7 +344,7 @@ def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     D, n = basis.D, basis.n
     U_dag = U.conj().T
     unitarity = float(np.linalg.norm(U @ U_dag - np.eye(D)))
-    _, reps = _group_representations(n, basis.shapes)
+    gens = [_yor_generators(shape) for shape in basis.shapes]
     generator_res = 0.0
     for j in range(n - 1):
         s = _adjacent_transposition(j, n)
@@ -368,16 +353,14 @@ def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
         for k, shape in enumerate(basis.shapes):
             _, w, _ = basis.blocks[shape]
             sl = basis.block_slice(shape)
-            expected[sl, sl] = np.kron(np.eye(w), reps[s][k])
+            expected[sl, sl] = np.kron(np.eye(w), gens[k][j])
         generator_res = max(generator_res, float(np.linalg.norm(got - expected)))
     words = n * (n - 1) // 2
     a = generator_res + unitarity
     perm_res = max(unitarity, words * a * (1.0 + a) ** words)
     collective_res = 0.0
     for _ in range(20):
-        E = rng.standard_normal((basis.d, basis.d)) + 1j * rng.standard_normal(
-            (basis.d, basis.d)
-        )
+        E = random_unitary(basis.d, rng)
         tensor = E
         for _ in range(basis.n - 1):
             tensor = np.kron(tensor, E)
@@ -430,32 +413,46 @@ def block_decompose(A, basis: SchurBasis) -> BlockDecomposition:
     return BlockDecomposition(hat=hat, per_lambda_hat=per_lambda)
 
 
-def isotypic_projectors(d: int, n: int) -> Measurement:
-    """Projective measurement onto the partition blocks, in partitions() order,
-    for d, n >= 1 with d^n <= MAX_DIM; n has no cap, as nothing n!-sized is built.
-    X_k = sum_{j<k} (j k) acts on block lambda as the content of the box holding
-    k, so the real symmetric Z = (n^3 + 1) sum_k X_k + sum_k X_k^2 is
-    (n^3 + 1) sum c + sum c^2 there, fixing both sums as 0 <= sum c^2 <= n^3.  A
-    block whose eigenspace of Z has the wrong rank raises VerificationFailure.
+def _jucys_murphy_blocks(d: int, n: int) -> tuple[list, list[np.ndarray]]:
+    """Row gathers of the Jucys-Murphy elements and each block's eigenvectors.
+
+    For d, n >= 1 with d^n <= MAX_DIM; nothing n!-sized is built.  Returns
+    the gathers of X_k = sum_{j<k} (j k), one row array per transposition
+    (P_(j k) A = A[r], as P = P^T), for k = 2..n, and the real orthonormal
+    eigenvectors spanning each block in partitions() order.  X_k acts on block
+    lambda as the content of the box holding k, so the real symmetric
+    Z = (n^3 + 1) sum_k X_k + sum_k X_k^2 is (n^3 + 1) sum c + sum c^2 there,
+    fixing both sums as 0 <= sum c^2 <= n^3; content sums alone collide:
+    (4, 1, 1) and (3, 3) both give 3.  A block whose eigenspace of Z has the
+    wrong rank raises VerificationFailure.
     """
-    D = d**n
-    if D > MAX_DIM:
-        raise ValueError(f"d^n must stay <= {MAX_DIM}")
+    D = checked_dimension(d, n)
     eye, Z = np.eye(D), np.zeros((D, D))
+    gathers = []
     for k in range(1, n):
         rows = [_perm_row_map(tuple({j: k, k: j}.get(s, s) for s in range(n)), d)
                 for j in range(k)]
-        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)  # P_(j k) A = A[r], as P = P^T
+        gathers.append(rows)
+        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)
         Z += sum(X[r] for r in rows)  # (n^3 + 1) X_k + X_k^2
     values, vectors = np.linalg.eigh(Z)
-    # permutations keep each digit multiset's span: no block has entries between two
-    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, D), axis=0)
-    projectors = []
+    spaces = []
     for shape in partitions(n, d):
         c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])
         V = vectors[:, np.abs(values - (n**3 + 1) * c.sum() - c @ c) < 0.5]
         rank = dim_gl(shape, d) * dim_sn(shape)
         if V.shape[1] != rank:
             raise VerificationFailure(f"block {shape} has rank {V.shape[1]}, expected {rank}")
-        projectors.append(np.where(keys[:, None] == keys, V @ V.T, 0.0))
-    return validate_measurement(projectors)
+        spaces.append(V)
+    return gathers, spaces
+
+
+def isotypic_projectors(d: int, n: int) -> Measurement:
+    """Projective measurement onto the partition blocks, in partitions() order,
+    for d, n >= 1 with d^n <= MAX_DIM: V V^T over each block's eigenvectors V
+    from ``_jucys_murphy_blocks``, so n has no cap.
+    """
+    _, spaces = _jucys_murphy_blocks(d, n)
+    # permutations keep each digit multiset's span: no block has entries between two
+    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, d**n), axis=0)
+    return validate_measurement([np.where(keys[:, None] == keys, V @ V.T, 0.0) for V in spaces])

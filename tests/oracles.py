@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -450,14 +451,85 @@ def schur_index(basis: schur.SchurBasis, shape, a: int, b: int) -> int:
     return offset + a * v + b
 
 
+@lru_cache(maxsize=16)
+def young_representations(n: int, shapes: tuple[schur.Partition, ...]):
+    """Orthogonal-representation matrices of every permutation of n sites.
+
+    Returns (perms, reps) where reps[perm][j] is the matrix for shapes[j].
+    Built by breadth-first composition from adjacent transpositions, so the
+    map is a homomorphism for the composition (p*s)(x) = p(s(x)).
+    """
+    gens = {shape: schur._yor_generators(shape) for shape in shapes}
+    identity = tuple(range(n))
+    reps = {identity: tuple(np.eye(schur.dim_sn(s)) for s in shapes)}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            mats = reps[p]
+            for j in range(n - 1):
+                q = list(p)
+                q[j], q[j + 1] = q[j + 1], q[j]
+                q = tuple(q)
+                if q not in reps:
+                    reps[q] = tuple(
+                        mats[s] @ gens[shape][j] for s, shape in enumerate(shapes)
+                    )
+                    nxt.append(q)
+        frontier = nxt
+    perms = sorted(reps)
+    return perms, reps
+
+
+def _matrix_unit_image(cells: np.ndarray, coefs: np.ndarray, D: int) -> np.ndarray:
+    """Dense image sum_p coefs[p] P_p of a group-algebra element.
+
+    ``cells[p]`` holds the flat (row * D + col) entries where P_p is 1.  Each
+    entry sums its nonzero terms in permutation order, starting from zero.
+    """
+    keep = coefs != 0.0
+    weights = np.repeat(coefs[keep], D)
+    return np.bincount(cells[keep].ravel(), weights=weights, minlength=D * D).reshape(D, D)
+
+
+YOUNG_MAX_SITES = 6
+
+
+def build_schur_transform_young(d: int, n: int) -> schur.SchurBasis:
+    """The Schur basis from Young's orthogonal representation of all n!
+    permutations: the matrix units' images, summed over an n! x D index array,
+    carve out the blocks.  The build ``schur.build_schur_transform`` replaced;
+    it wrote ``schur_d2_n3.bin``."""
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be positive")
+    if d**n > schur.MAX_DIM or n > YOUNG_MAX_SITES:
+        raise ValueError(f"d^n must stay <= {schur.MAX_DIM} with n <= {YOUNG_MAX_SITES}")
+    shapes, blocks = schur._block_layout(d, n)
+    perms, reps = young_representations(n, shapes)
+    D = d**n
+    cells = np.stack([schur._perm_row_map(p, d) for p in perms]) * D + np.arange(D)
+    U = np.zeros((D, D), dtype=np.complex128)
+    for s, shape in enumerate(shapes):
+        offset, w, v = blocks[shape]
+        # coefs[p, b]: coefficient of p in the matrix unit e^shape_{b,0}
+        coefs = v / math.factorial(n) * np.array([reps[p][s][:, 0] for p in perms])
+        seeds = schur._orthonormal_image(_matrix_unit_image(cells, coefs[:, 0], D), w, shape)
+        columns = [seeds] + [
+            _matrix_unit_image(cells, coefs[:, b], D) @ seeds for b in range(1, v)
+        ]
+        # row offset + a*v + b is the bra of column a of columns[b]
+        U[offset : offset + w * v] = np.stack(columns).transpose(2, 0, 1).reshape(w * v, D).conj()
+    return schur.SchurBasis.from_unitary(d, n, U)
+
+
 def schur_permutations(basis: schur.SchurBasis) -> list[tuple[int, ...]]:
     """Every permutation of the basis's n sites, in sorted order."""
-    return schur._group_representations(basis.n, basis.shapes)[0]
+    return young_representations(basis.n, basis.shapes)[0]
 
 
 def schur_rep_matrix(basis: schur.SchurBasis, perm, shape) -> np.ndarray:
     """Young's orthogonal representation of ``perm`` on block ``shape``."""
-    reps = schur._group_representations(basis.n, basis.shapes)[1]
+    reps = young_representations(basis.n, basis.shapes)[1]
     return reps[tuple(perm)][basis.shapes.index(shape)]
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -729,8 +730,8 @@ class TestTestCommand:
         assert code in (0, 1)
 
     def test_perminv_past_the_schur_cap(self, capsys, tmp_path):
-        # n = 7 exceeds the Schur basis's site cap; the twirl has none.  The
-        # site-1 projector pair passes with probability (n + 1)/(2n) = 4/7
+        # the twirl needs no Schur basis at n = 7.  The site-1 projector pair
+        # passes with probability (n + 1)/(2n) = 4/7
         code, report = run_cli(capsys, "fixtures", "klocal", str(tmp_path), "--n", "7")
         assert code == 0
         code, report = run_cli(capsys, "test", "perminv", str(tmp_path / "local1_n7.json"),
@@ -896,6 +897,35 @@ class TestFixturesCommand:
         assert report["error"] == "ValueError: d^n must stay <= 1024"
         assert not out.exists()
 
+    @pytest.fixture
+    def no_builds(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized fixtures run must build nothing")
+
+        for builder in ("_stabilizer_fixtures", "_far_stabilizer_fixture", "_klocal_fixture",
+                        "_perminv_fixture", "_compbasis_fixture", "validate_measurement"):
+            monkeypatch.setattr(cli, builder, refuse)
+
+    @pytest.mark.parametrize("kind,argv", [("compbasis", ("--d", "2", "--n", "10")),
+                                           ("stabilizer", ("--n", "10"))])
+    def test_oversized_run_builds_nothing(self, capsys, tmp_path, no_builds, kind, argv):
+        # 1024 operators of dimension 1024, or 4^10 - 1 files of two of them:
+        # both pass d^n <= 1024 and are refused on their entry count
+        out = tmp_path / "out"
+        code, report = run_cli(capsys, "fixtures", kind, str(out), *argv)
+        assert code == 2
+        assert report["error"].startswith("ValueError: files x outcomes x (d^n)^2 = ")
+        assert report["error"].endswith("must stay <= 16 x 1024^2 = 16777216")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["klocal", "far-stabilizer", "stabilizer"])
+    def test_qubit_kinds_refuse_past_1024_dimensions(self, capsys, tmp_path, no_builds, kind):
+        out = tmp_path / "out"
+        code, report = run_cli(capsys, "fixtures", kind, str(out), "--n", "11")
+        assert code == 2
+        assert report["error"] == "ValueError: d^n must stay <= 1024"
+        assert not out.exists()
+
     def test_klocal_and_compbasis(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "fixtures", "klocal", str(tmp_path), "--n", "3")
         assert code == 0
@@ -996,6 +1026,21 @@ class TestSchurCommand:
         row = basis.U[offset]
         assert abs(np.vdot(row.conj(), anti)) == pytest.approx(1.0, abs=1e-10)
 
+    def test_past_six_sites(self, capsys, tmp_path):
+        # the Jucys-Murphy build has no site cap; d^n <= 1024 is the only limit
+        out = tmp_path / "schur_2_7.bin"
+        code, report = run_cli(capsys, "schur", "2", "7", str(out))
+        assert code == 0
+        assert max(report["residuals"].values()) <= 1e-10
+        basis = cli.load_schur_cache(out)
+        assert (basis.d, basis.n, basis.D) == (2, 7, 128)
+
+    def test_huge_n_refused_before_d_to_the_n(self, capsys, tmp_path):
+        # 3**(10**8) once took longer than 15 s to form before the size check
+        code, report = run_cli(capsys, "schur", "3", str(10**8), str(tmp_path / "x.bin"))
+        assert code == 2
+        assert report["error"] == "ValueError: d^n must stay <= 1024"
+
     def test_size_cap_refused(self, capsys, tmp_path):
         code, report = run_cli(capsys, "schur", "2", "11", str(tmp_path / "x.bin"))
         assert code == 2
@@ -1013,6 +1058,22 @@ class TestSchurCommand:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
         with pytest.raises(cli.FileFormatError):
+            cli.load_schur_cache(path)
+
+    @pytest.mark.parametrize("raw,message", [
+        # once struct.error
+        (cli.SCHUR_MAGIC + b"\1\0\0\0", "cannot hold the 24-byte header"),
+        # once a bare ValueError from the reshape
+        (cli.SCHUR_MAGIC + struct.pack("<IIII", 1, 2, 2, 4) + b"\0" * 240,
+         "payload of 240 bytes, expected 256"),
+        # once formed 3**(2**31) and ran for minutes
+        (cli.SCHUR_MAGIC + struct.pack("<IIII", 1, 3, 2**31, 9) + b"\0" * 16,
+         "header d = 3, n = 2147483648, D = 9 is not"),
+    ], ids=["short-header", "short-payload", "huge-n"])
+    def test_corrupt_cache_header_and_payload(self, tmp_path, raw, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw)
+        with pytest.raises(cli.FileFormatError, match=message):
             cli.load_schur_cache(path)
 
 

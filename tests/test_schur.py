@@ -131,6 +131,9 @@ class TestPermutationOperator:
             oracles.permutation_operator((0, 0, 1), 2)
 
 
+YOUNG_SIZES = [(d, n) for d in range(1, 6) for n in range(1, 7) if d**n <= 256]
+
+
 @pytest.fixture(scope="module")
 def basis22():
     return schur.build_schur_transform(2, 2)
@@ -175,6 +178,24 @@ class TestSchurTransform:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             schur.build_schur_transform(2, 12)
+
+    @pytest.mark.parametrize("d,n", YOUNG_SIZES)
+    def test_matches_the_young_build(self, d, n):
+        # the Jucys-Murphy seeds are Gram-Schmidt over the columns of the same
+        # projector, so U agrees entrywise, not only up to a unitary per block
+        got, want = schur.build_schur_transform(d, n), oracles.build_schur_transform_young(d, n)
+        assert (got.shapes, got.blocks) == (want.shapes, want.blocks)
+        np.testing.assert_allclose(got.U, want.U, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_past_the_young_site_cap(self, n, rng):
+        # the twirl is the reference: the isotypic projectors share the build's eigh
+        basis = schur.build_schur_transform(2, n)
+        assert max(basis.residuals.values()) <= 1e-10
+        A = oracles.random_operator(2**n, rng)
+        U = basis.U
+        got = U.conj().T @ schur.block_decompose(A, basis).hat @ U
+        np.testing.assert_allclose(got, schur.twirl(A, 2, n), rtol=0, atol=1e-10)
 
     def test_triples_enumeration(self, basis22):
         assert oracles.schur_index(basis22, (2,), 0, 0) == 0
@@ -433,7 +454,7 @@ class TestGeneratorCheck:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_representation_homomorphism_on_generators(self, n):
         shapes = tuple(schur.partitions(n, n))
-        _, reps = schur._group_representations(n, shapes)
+        _, reps = oracles.young_representations(n, shapes)
         for p in itertools.permutations(range(n)):
             for j in range(n - 1):
                 s = schur._adjacent_transposition(j, n)
@@ -443,14 +464,14 @@ class TestGeneratorCheck:
                                                rtol=0, atol=1e-12)
 
     def test_cache_bytes_unchanged(self, tmp_path):
-        # schur_d2_n3.bin was written by the dense-loop build
+        # schur_d2_n3.bin was written by the Young matrix-unit build, now the oracle
         path = tmp_path / "schur_d2_n3.bin"
-        cli.save_schur_cache(schur.build_schur_transform(2, 3), path)
+        cli.save_schur_cache(oracles.build_schur_transform_young(2, 3), path)
         assert path.read_bytes() == (GOLDEN / "schur_d2_n3.bin").read_bytes()
 
     def test_cache_load_matches_build(self):
         loaded = cli.load_schur_cache(GOLDEN / "schur_d2_n3.bin")
-        built = schur.build_schur_transform(2, 3)
+        built = oracles.build_schur_transform_young(2, 3)
         assert loaded.U.tobytes() == built.U.tobytes()
         assert (loaded.shapes, loaded.blocks) == (built.shapes, built.blocks)
         assert loaded.residuals == built.residuals
