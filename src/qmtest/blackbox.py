@@ -3,11 +3,11 @@
 The device hides a measurement and exposes only the entangled-input query:
 each query feeds half of a maximally entangled state to the hidden
 measurement, yielding an outcome index with probability p(M_i) and leaving
-the normalized vectorized operator as the post-measurement state.  Follow-up
-measurements on that post-state (Pauli-basis labels, single-site signs) are
-sampled from their exact distributions computed out of the hidden operators;
-post-states are never materialized.  The symmetry check passes with
-probability (1/D) sum_i |twirl(M_i)|_F^2 (``schur_audit``); no basis is built.
+the normalized vectorized operator as the post-measurement state, which is
+never materialized.  The box only draws and charges; each law is a function
+of the measurement beside its math: the outcome and overlap laws in ``core``,
+the label and sign laws in ``pauli``, and the symmetry check's pass
+probability (``symmetric_mass``) in ``schur``.
 
 The box owns the sampling mode, fixed at construction, and every count a
 tester draws, from the box's stream or from an apparatus stream beside two
@@ -26,7 +26,7 @@ import threading
 import numpy as np
 
 from . import pauli, schur
-from .core import Measurement, QmtestError, ZeroOperator, unit_overlap
+from .core import Measurement, QmtestError, ZeroOperator, unit_overlap, vanishes
 
 SAMPLING_MODES = ("aggregate", "per_trial")
 # a draw gets one span (thread) per core, but at most one per CHUNK uniforms begun
@@ -191,13 +191,12 @@ class BlackBox:
     """Opaque measurement device with query accounting, a seeded stream and a
     sampling mode (one of ``SAMPLING_MODES``).
 
-    Testers interact only through the sampling methods; the hidden measurement
-    is an implementation detail of the simulation.  ``d`` must be supplied for
-    the label-level samplers (the hidden dimension must be a power of d), and
-    ``n`` is derived from it.  Every law is computed on each call, since a
-    tester draws from each once; the box keeps only the symmetry-check pass
-    probability, which ``test_perminv`` reads and ``sample_first_failure``
-    draws with.
+    ``d`` must be supplied for the label-level samplers (the hidden dimension
+    must be a power of d), and ``n`` is derived from it.  Each sampler gets its
+    law, draws it at ``_draw`` and charges its queries at ``_charge``.  Laws are
+    computed on each call, as a tester draws from each once; the box keeps only
+    the symmetry-check pass probability, which ``test_perminv`` reads and
+    ``sample_first_failure`` draws with.
     """
 
     def __init__(self, measurement: Measurement, seed=None, d: int | None = None,
@@ -220,32 +219,31 @@ class BlackBox:
     def num_outcomes(self) -> int:
         return len(self._hidden)
 
-    def choi_probs(self) -> np.ndarray:
-        """Outcome law of the entangled query: p(M_i) = |M_i|_F^2/D."""
-        p = self._hidden.outcome_probs()
-        return p / p.sum()
+    def _charge(self, queries: int, result):
+        """``result``, after charging ``queries`` queries: the one charge point."""
+        self.query_count += queries
+        return result
+
+    def _draw(self, total: int, law, queries: int = 0) -> np.ndarray:
+        """Counts of ``total`` draws from ``law``, charging ``queries``: the one draw point."""
+        return self._charge(queries, draw_counts(total, law, self.rng, self.sampling))
 
     def sample_outcome_counts(self, L: int) -> np.ndarray:
         """Outcome counts of L entangled queries; charges L queries."""
-        counts = draw_counts(L, self.choi_probs(), self.rng, self.sampling)
-        self.query_count += L
-        return counts
+        p = self._hidden.outcome_probs()
+        return self._draw(L, p / p.sum(), L)
 
     def _require_label_space(self):
         if self.d is None:
             raise ValueError("construct the box with d to use label-level samplers")
-
-    def q_distribution(self, outcome: int) -> np.ndarray:
-        """Pauli-label law of the post-state for the given outcome."""
-        self._require_label_space()
-        return pauli.q_distribution(self._hidden.operators[outcome], self.d)
 
     def sample_label_counts(self, outcome: int, T: int) -> np.ndarray:
         """Label counts of T Pauli-basis measurements on one branch's post-state.
 
         These are follow-up measurements: no queries are charged.
         """
-        return draw_counts(T, self.q_distribution(outcome), self.rng, self.sampling)
+        self._require_label_space()
+        return self._draw(T, pauli.q_distribution(self._hidden.operators[outcome], self.d))
 
     # perfbench's traced run wraps these two names and reads their L and T;
     # they go once its shim skips names it cannot find (ROADMAP item 1)
@@ -257,48 +255,25 @@ class BlackBox:
 
         A round's label follows the law of (outcome, then label) marginalized to
         labels, xi = sum_i |mu(M_i)|^2 (since sum_i p_i q_i = xi), so the counts
-        are one ``draw_counts`` from xi: per trial, one uniform per round.
+        are one draw from xi: per trial, one uniform per round.
         """
         self._require_label_space()
-        counts = draw_counts(L, pauli.xi_distribution(self._hidden, self.d), self.rng,
-                             self.sampling)
-        self.query_count += L
-        return counts
+        return self._draw(L, pauli.xi_distribution(self._hidden, self.d), L)
 
     def sign_plus_prob(self, outcome: int, label: pauli.PauliLabel) -> float:
-        """Probability that the sitewise sign product comes out +1.
-
-        Equals tr(P_plus(a,b) M_i M_i^dag) / tr(M_i^dag M_i) where P_plus
-        projects on the +1 eigenspace of the labelled Pauli operator.
-        """
-        self._require_label_space()
-        if self.d != 2:
-            raise ValueError("sign measurement is defined for qubits only")
-        op = self._hidden.operators[outcome]
-        den = float(np.vdot(op, op).real)
-        if den < 1e-14:
-            raise ZeroOperator("sign distribution undefined for a zero operator")
-        # sigma|j> = phase_j |row_j>, so tr(sigma M M^dag) is
-        # sum_j phase_j <M[row_j, :], M[j, :]>: no dense Pauli, no D x D product
-        rows, phases = pauli._pauli_action(label)
-        num = (den + np.vdot(op[rows], phases[:, None] * op).real) / 2
-        return min(max(num / den, 0.0), 1.0)
+        """Probability that the sitewise sign product comes out +1 (``pauli.sign_plus_prob``)."""
+        return pauli.sign_plus_prob(self._hidden, outcome, label)
 
     def sample_failure_count(self, W: int, p_fail: float) -> int:
         """Failures among W independent checks that each fail with probability
         p_fail (the stabilizer sign checks); no queries are charged."""
-        return int(draw_counts(W, (p_fail, 1.0 - p_fail), self.rng, self.sampling)[0])
+        return int(self._draw(W, (p_fail, 1.0 - p_fail))[0])
 
     def schur_audit(self) -> float:
-        """Pass probability of one symmetry-check iteration,
-        (1/D) sum_i |twirl(M_i)|_F^2, clipped to 1."""
+        """Pass probability of one symmetry-check iteration (``schur.symmetric_mass``)."""
         self._require_label_space()
         if self._pass_prob is None:
-            mass = 0.0
-            for op in self._hidden.operators:
-                hat = schur.twirl(op, self.d, self.n)
-                mass += float(np.vdot(hat, hat).real)
-            self._pass_prob = min(mass / self.dim, 1.0)
+            self._pass_prob = schur.symmetric_mass(self._hidden, self.d, self.n)
         return self._pass_prob
 
     def reference_overlaps(self, member: Measurement, k: int) -> list:
@@ -314,9 +289,7 @@ class BlackBox:
         registers land on the identity basis operator, with probability
         ``schur_audit()``.
         """
-        passed = self.rng.random() < self.schur_audit()
-        self.query_count += 1
-        return passed
+        return self._charge(1, self.rng.random() < self.schur_audit())
 
     def sample_first_failure(self, L: int) -> int:
         """First failing iteration among L symmetry checks, or L + 1 if all pass.
@@ -329,24 +302,20 @@ class BlackBox:
         """
         _check_budget(L)
         p = self.schur_audit()
+        first = L + 1
         if self.sampling == "per_trial":
             for start in range(0, L, BLOCK):
                 failed = np.flatnonzero(~(self.rng.random(min(BLOCK, L - start)) < p))
                 if failed.size:
                     first = start + int(failed[0]) + 1
-                    self.query_count += first
-                    return first
-            self.query_count += L
-            return L + 1
-        u = self.rng.random()
-        if p <= 0.0:
-            first = 1
-        elif p >= 1.0 or u <= 0.0:
-            first = L + 1
+                    break
         else:
-            first = min(1 + math.floor(math.log(u) / math.log(p)), L + 1)
-        self.query_count += min(first, L)
-        return first
+            u = self.rng.random()
+            if p <= 0.0:
+                first = 1
+            elif p < 1.0 and u > 0.0:
+                first = min(1 + math.floor(math.log(u) / math.log(p)), L + 1)
+        return self._charge(min(first, L), first)
 
 
 def shared_sampling(box_m: BlackBox, box_n: BlackBox) -> str:
@@ -366,7 +335,7 @@ def paired_swap_zeros(box_m: BlackBox, box_n: BlackBox, outcome: int, copies: in
     is the tester's apparatus stream; the boxes' shared mode decides its draw.
     """
     a, b = box_m._hidden.operator(outcome), box_n._hidden.operator(outcome)
-    if min(np.linalg.norm(a), np.linalg.norm(b)) < 1e-14:
+    if vanishes(a) or vanishes(b):
         raise ZeroOperator("overlap undefined when an operator vanishes")
     overlap = min(abs(unit_overlap(a, b)), 1.0)
     p0 = (1.0 + overlap**2) / 2.0

@@ -2,7 +2,9 @@
 
 Operators are plain complex numpy matrices.  A measurement is an ordered
 collection of operators whose squares sum to the identity.  Everything here is
-exact desk-scale simulation: no sparsity, no circuit decompositions.
+exact desk-scale simulation: no sparsity, no circuit decompositions.  The
+outcome law p(M_i) = |M_i|_F^2/D (``Measurement.outcome_probs``), its one
+zero rule (``vanishes``) and the overlap law (``unit_overlap``) live here.
 """
 
 from __future__ import annotations
@@ -49,14 +51,17 @@ def hs_inner(A, B) -> complex:
     return complex(np.vdot(A, B))
 
 
+def vanishes(A) -> bool:
+    """p(A) = |A|_F^2/D < 1e-14, which every law of A's post-state divides by."""
+    return choi_prob(A) < 1e-14
+
+
 def unit_overlap(A, B) -> complex:
     """tr(A^dag B) / (|A|_F |B|_F), the overlap of the normalized vectorized
-    operators; 0 when either operator vanishes."""
-    na = float(np.linalg.norm(A))
-    nb = float(np.linalg.norm(B))
-    if na < 1e-14 or nb < 1e-14:
+    operators; 0 when either operator ``vanishes``."""
+    if vanishes(A) or vanishes(B):
         return 0.0
-    return hs_inner(A, B) / (na * nb)
+    return hs_inner(A, B) / (float(np.linalg.norm(A)) * float(np.linalg.norm(B)))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ Every coefficient comes from one transform.  A D x D operator (D = d^n) is
 reshaped to a (d,)*2n tensor, and each site's (row, column) pair is
 contracted with the d^2 single-site operators, one ``tensordot`` per site.
 That costs O(n d^2 D^2) time and O(D^2) memory, with no per-label index or
-phase tables.
+phase tables.  Beside it live the label laws ``q_distribution`` and
+``xi_distribution`` and the qubit sign law ``sign_plus_prob``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     ZeroOperator,
     as_operator,
     validate_measurement,
+    vanishes,
 )
 
 
@@ -117,6 +119,22 @@ def _pauli_action(label: PauliLabel) -> tuple[np.ndarray, np.ndarray]:
     return rows, phases
 
 
+def sign_plus_prob(meas: Measurement, outcome: int, label: PauliLabel) -> float:
+    """Sign law: the probability that ``label``'s qubit Pauli sigma gives +1 on
+    outcome i's post-state, tr((I + sigma)/2 M_i M_i^dag) / tr(M_i^dag M_i)."""
+    if label.d != 2 or meas.dim != 2 ** len(label.x):
+        raise DimensionMismatch("sign measurement is defined for qubit labels on all sites")
+    op = meas.operators[outcome]
+    if vanishes(op):
+        raise ZeroOperator("sign distribution undefined for a zero operator")
+    den = float(np.vdot(op, op).real)
+    # sigma|j> = phase_j |row_j>, so tr(sigma M M^dag) is
+    # sum_j phase_j <M[row_j, :], M[j, :]>: no dense Pauli, no D x D product
+    rows, phases = _pauli_action(label)
+    num = (den + np.vdot(op[rows], phases[:, None] * op).real) / 2
+    return min(max(num / den, 0.0), 1.0)
+
+
 def _power_check(dim: int, d: int) -> int:
     """The n with dim = d**n; d = 1 has only the power 1, and d < 1 none."""
     if d < 1 or d == 1 and dim > 1:
@@ -157,13 +175,12 @@ def q_distribution(M_i, d: int) -> np.ndarray:
     """Label distribution |mu_{x,z}(M_i)|^2 / p(M_i) in label order."""
     M_i = as_operator(M_i)
     n = _power_check(M_i.shape[0], d)
+    if vanishes(M_i):
+        raise ZeroOperator("q-distribution undefined for a (near-)zero operator")
     weights = np.abs(mu_vector(M_i, d, n)) ** 2
     # by Parseval, sum |mu|^2 = |M_i|_F^2 / d^n = p(M_i); dividing by the
     # computed sum rather than by p makes the law sum to 1 up to rounding
-    p = weights.sum()
-    if p < 1e-14:
-        raise ZeroOperator("q-distribution undefined for a (near-)zero operator")
-    return weights / p
+    return weights / weights.sum()
 
 
 def xi_distribution(meas: Measurement, d: int) -> np.ndarray:

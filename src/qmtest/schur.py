@@ -2,11 +2,11 @@
 
 ``twirl`` projects an operator onto the commutant of the site permutations,
 the group average (1/n!) sum_p P_p A P_p^dag, by O(n^2) axis swaps and no
-basis; the permutation-invariance tester's symmetry check
-(``BlackBox.schur_audit``) uses it alone.  ``isotypic_projectors`` builds no
-basis either: its blocks are eigenspaces of a central element in Jucys-Murphy
-elements, the content sum plus the squared contents, as content sums alone
-collide: (4, 1, 1) and (3, 3) both give 3.
+basis; the symmetry check's law, its pass probability ``symmetric_mass``,
+uses it alone.  ``isotypic_projectors`` builds no basis either: its blocks
+are eigenspaces of a central element in Jucys-Murphy elements, the content
+sum plus the squared contents, as content sums alone collide: (4, 1, 1) and
+(3, 3) both give 3.
 
 The Schur basis serves only ``qmtest schur`` and the tests' oracles for the
 twirl and the projectors.  For n qudits, the permutation action and the
@@ -145,6 +145,15 @@ def twirl(A, d: int, n: int) -> np.ndarray:
             acc += T.transpose(axes)
         T = np.divide(acc, k + 1, out=acc)
     return T.reshape(A.shape)
+
+
+def symmetric_mass(meas: Measurement, d: int, n: int) -> float:
+    """The symmetry check's pass probability, (1/D) sum_i |twirl(M_i)|_F^2 clipped to 1."""
+    mass = 0.0
+    for op in meas.operators:
+        hat = twirl(op, d, n)
+        mass += float(np.vdot(hat, hat).real)
+    return min(mass / meas.dim, 1.0)
 
 
 def standard_tableaux(shape: Partition) -> list[tuple[tuple[int, ...], ...]]:

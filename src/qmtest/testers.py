@@ -31,7 +31,7 @@ import numpy as np
 
 from . import metric, pauli
 from .blackbox import BlackBox, SampleBudgetExceeded, paired_swap_zeros, shared_sampling
-from .core import DimensionMismatch, Measurement, QmtestError, choi_prob, unit_overlap
+from .core import DimensionMismatch, Measurement, QmtestError, unit_overlap
 
 
 class DimensionNotPowerOfTwo(DimensionMismatch):
@@ -322,9 +322,9 @@ def test_finite_set(box: BlackBox, members: FiniteSetSpec, cfg: TesterConfig) ->
 
     # a member survives when it gives every frequent outcome enough weight
     frequent = [j for j in range(k) if counts[j] >= consts["count_threshold"]]
-    surviving = [idx for idx, member in enumerate(members.members)
-                 if all(choi_prob(member.operator(j)) >= (1 - 0.1 * a**2) * counts[j] / L
-                        for j in frequent)]
+    probs = [np.pad(member.outcome_probs(), (0, k)) for member in members.members]
+    surviving = [idx for idx, p in enumerate(probs)
+                 if all(p[j] >= (1 - 0.1 * a**2) * counts[j] / L for j in frequent)]
     stats["surviving_members"] = surviving
     if not surviving:
         return Verdict("member_filter", box.query_count, stats, params)

@@ -20,6 +20,12 @@ import oracles
 from conftest import comp_basis_measurement, overlap_boxes
 
 
+def outcome_law(meas: core.Measurement) -> np.ndarray:
+    """The law a box draws outcomes from: ``Measurement.outcome_probs``, normalized."""
+    p = meas.outcome_probs()
+    return p / p.sum()
+
+
 def swap_zero_fraction(overlap: float, copies: int, sampling: str, seed: int) -> float:
     box_m, box_n = overlap_boxes(overlap, sampling)
     hidden = core.unit_overlap(box_m._hidden.operator(0), box_n._hidden.operator(0))
@@ -122,7 +128,7 @@ class TestChoiQueries:
         assert counts.sum() == 100_000
         assert abs(counts[0] / 100_000 - 0.5) < 3 * math.sqrt(0.25 / 100_000)
         assert box.query_count == 100_000
-        expected = oracles.per_trial_counts(100_000, box.choi_probs(),
+        expected = oracles.per_trial_counts(100_000, outcome_law(meas),
                                             np.random.default_rng(1), blackbox.CHUNK)
         np.testing.assert_array_equal(counts, expected)
 
@@ -176,12 +182,12 @@ class TestPauliBasisMeasurement:
         outcomes = box.sample_outcome_counts(draws)
         stream = np.random.default_rng(12)
         np.testing.assert_array_equal(
-            outcomes, oracles.per_trial_counts(draws, box.choi_probs(), stream, blackbox.CHUNK))
+            outcomes, oracles.per_trial_counts(draws, outcome_law(meas), stream, blackbox.CHUNK))
         for i in np.flatnonzero(outcomes):
             hits = int(outcomes[i])
             counts += box.sample_label_counts(int(i), hits)
-            expected += oracles.per_trial_counts(hits, box.q_distribution(int(i)), stream,
-                                                 blackbox.CHUNK)
+            expected += oracles.per_trial_counts(hits, pauli.q_distribution(meas.operators[i], 2),
+                                                 stream, blackbox.CHUNK)
         np.testing.assert_array_equal(counts, expected)
         xi = pauli.xi_distribution(meas, 2)
         for idx in range(16):
@@ -272,7 +278,20 @@ class TestSignMeasurement:
             box = boxes[n]
             for i in (0, 1):
                 dense = oracles.sign_plus_prob_dense(box._hidden, i, lbl)
-                assert abs(box.sign_plus_prob(i, lbl) - dense) <= 1e-14
+                for got in (box.sign_plus_prob(i, lbl), pauli.sign_plus_prob(box._hidden, i, lbl)):
+                    assert abs(got - dense) <= 1e-14
+
+    def test_qubit_labels_on_every_site_only(self):
+        # the sign law is a qubit Pauli's on all sites; anything else is a typed
+        # dimension mismatch, from the law and through the box alike
+        qutrit = core.validate_measurement([np.eye(3)])
+        with pytest.raises(core.DimensionMismatch):
+            blackbox.BlackBox(qutrit, seed=0, d=3).sign_plus_prob(
+                0, pauli.PauliLabel((1,), (0,), 3))
+        qubits = pauli.stabilizer_measurement((1, 0), (0, 1))
+        with pytest.raises(core.DimensionMismatch):
+            pauli.sign_plus_prob(qubits, 0, pauli.PauliLabel((1,), (0,)))
+        assert issubclass(core.DimensionMismatch, core.QmtestError)
 
 
 class TestSchurIteration:
@@ -289,7 +308,8 @@ class TestSchurIteration:
 
     def test_compbasis_three_quarters(self):
         box = blackbox.BlackBox(comp_basis_measurement(4), seed=10, d=2)
-        assert box.schur_audit() == pytest.approx(0.75)
+        for got in (box.schur_audit(), schur.symmetric_mass(comp_basis_measurement(4), 2, 2)):
+            assert got == pytest.approx(0.75)
         draws = 20_000
         passes = sum(box.schur_iteration() for _ in range(draws))
         assert abs(passes / draws - 0.75) < 3 * math.sqrt(0.75 * 0.25 / draws)
@@ -351,6 +371,75 @@ class TestHiddenOverlap:
         assert rng.bit_generator.state == state
 
 
+class TestVanishingOperator:
+    """One rule, ``core.vanishes`` (p(M_i) < 1e-14), decides a vanishing outcome
+    for the label law, the sign law, the swap test and the overlap alike."""
+
+    @pytest.mark.parametrize("D", [4, 256])
+    @pytest.mark.parametrize("t", [1e-16, 1e-12])
+    def test_every_caller_agrees(self, t, D):
+        # [sqrt(1 - t) I, sqrt(t) I]: p(M_1) = t at every D, while |M_1|^2 = t D
+        # and |M_1| grow with D, so a rule on either would split the callers
+        meas = core.validate_measurement([math.sqrt(1 - t) * np.eye(D), math.sqrt(t) * np.eye(D)])
+        small = meas.operators[1]
+        box = blackbox.BlackBox(meas, seed=0, d=2)
+        n = D.bit_length() - 1
+        label = pauli.PauliLabel((0,) * n, (1,) + (0,) * (n - 1))
+        calls = {"label law": lambda: pauli.q_distribution(small, 2)[0],
+                 "sign law": lambda: box.sign_plus_prob(1, label),
+                 "swap test": lambda: blackbox.paired_swap_zeros(box, box, 1, 10,
+                                                                 np.random.default_rng(0))}
+        vanishing = t < 1e-14
+        assert core.vanishes(small) is vanishing
+        if vanishing:
+            for call in calls.values():
+                with pytest.raises(core.ZeroOperator):
+                    call()
+            assert core.unit_overlap(small, small) == 0.0
+        else:
+            values = {name: call() for name, call in calls.items()}
+            assert values == {"label law": pytest.approx(1.0), "sign law": pytest.approx(0.5),
+                              "swap test": 10}
+            assert core.unit_overlap(small, small) == pytest.approx(1.0)
+
+
+class TestDrawPoint:
+    """Each sampler draws exactly its law through ``draw_counts`` and charges
+    exactly its stage's queries."""
+
+    @pytest.mark.parametrize("mode", blackbox.SAMPLING_MODES)
+    @pytest.mark.parametrize("sampler,charged", [("outcome", True), ("label", False),
+                                                 ("joint", True), ("sign failure", False)])
+    def test_draws_its_law_and_charges_its_stage(self, monkeypatch, mode, sampler, charged):
+        # a fixed law that sums to exactly 1, so normalizing it keeps its bits
+        law = np.array([0.125, 0.375, 0.5])
+        monkeypatch.setattr(core.Measurement, "outcome_probs", lambda self: law)
+        monkeypatch.setattr(pauli, "q_distribution", lambda op, d: law)
+        monkeypatch.setattr(pauli, "xi_distribution", lambda meas, d: law)
+        box = blackbox.BlackBox(comp_basis_measurement(4), seed=41, d=2, sampling=mode)
+        box.query_count = before = 7
+        L, p_fail = 5000, 0.3
+        twin = np.random.default_rng(41)
+        if sampler == "sign failure":
+            got = box.sample_failure_count(L, p_fail)
+            expected = int(blackbox.draw_counts(L, (p_fail, 1.0 - p_fail), twin, mode)[0])
+        else:
+            got = {"outcome": lambda: box.sample_outcome_counts(L),
+                   "label": lambda: box.sample_label_counts(2, L),
+                   "joint": lambda: box.sample_joint_label_counts(L)}[sampler]()
+            expected = blackbox.draw_counts(L, law, twin, mode)
+        np.testing.assert_array_equal(got, expected)
+        assert box.rng.bit_generator.state == twin.bit_generator.state
+        assert box.query_count - before == (L if charged else 0)
+
+    def test_box_only_draws_and_charges(self):
+        # no operator arithmetic in the box, and one line that charges queries
+        source = inspect.getsource(blackbox)
+        assert not [name for name in ("_pauli_action", "twirl", "vdot", "linalg")
+                    if name in source]
+        assert source.count("query_count +=") == 1
+
+
 class TestSamplingLayer:
     def test_sampling_mode_checked(self):
         with pytest.raises(ValueError):
@@ -377,9 +466,9 @@ class TestSamplingLayer:
 
         whole = np.random.default_rng(31)
         np.testing.assert_array_equal(
-            outcomes, np.bincount(whole.choice(4, size=L, p=box.choi_probs()), minlength=4))
-        np.testing.assert_array_equal(
-            labels, np.bincount(whole.choice(16, size=L, p=box.q_distribution(1)), minlength=16))
+            outcomes, np.bincount(whole.choice(4, size=L, p=outcome_law(meas)), minlength=4))
+        np.testing.assert_array_equal(labels, np.bincount(
+            whole.choice(16, size=L, p=pauli.q_distribution(meas.operators[1], 2)), minlength=16))
         assert failures == int((whole.random(L) < 0.3).sum())
         assert box.rng.bit_generator.state == whole.bit_generator.state
         assert box.query_count == L

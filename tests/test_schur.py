@@ -314,9 +314,11 @@ class TestTwirl:
         # |twirl(|x><x|)|^2 = 1/|orbit of x|, so the mass is the number of
         # orbits (types): C(n + d - 1, d - 1) / d^n, 0.75 at (2, 2), 9/256 at (2, 8)
         ops = [np.diag((np.arange(d**n) == i).astype(complex)) for i in range(d**n)]
-        box = blackbox.BlackBox(core.validate_measurement(ops), seed=0, d=d)
+        meas = core.validate_measurement(ops)
+        box = blackbox.BlackBox(meas, seed=0, d=d)
         expected = math.comb(n + d - 1, d - 1) / d**n
-        assert box.schur_audit() == pytest.approx(expected, abs=1e-12)
+        for got in (box.schur_audit(), schur.symmetric_mass(meas, d, n)):
+            assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_site_projector_pass_prob(self, n):
@@ -324,8 +326,10 @@ class TestTwirl:
         # pass probability (n + 1) / (2n)
         rest = np.eye(2 ** (n - 1))
         ops = [np.kron(np.diag([1.0, 0.0]), rest), np.kron(np.diag([0.0, 1.0]), rest)]
-        box = blackbox.BlackBox(core.validate_measurement(ops), seed=0, d=2)
-        assert box.schur_audit() == pytest.approx((n + 1) / (2 * n), abs=1e-12)
+        meas = core.validate_measurement(ops)
+        box = blackbox.BlackBox(meas, seed=0, d=2)
+        for got in (box.schur_audit(), schur.symmetric_mass(meas, 2, n)):
+            assert got == pytest.approx((n + 1) / (2 * n), abs=1e-12)
 
 
 BASIS_SIZES = [(d, n) for d in (1, 2, 3, 4) for n in range(1, 7) if d**n <= 256]

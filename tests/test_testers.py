@@ -189,7 +189,7 @@ class TestStabilizerTester:
         meas = core.validate_measurement([U @ op @ U.conj().T for op in base.operators])
         box = BlackBox(meas, seed=0, d=2)
         for branch in (0, 1):  # the label laws are the box's, not the union's
-            box.q_distribution(branch)
+            pauli.q_distribution(meas.operators[branch], 2)
         tracemalloc.start()
         try:
             v = testers.test_stabilizer(box, testers.TesterConfig(epsilon=0.4, seed=0))
