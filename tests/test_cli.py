@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,8 @@ MALFORMED = {
     "blank first entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[ , 0.0]", 1)),
     "blank second entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[0.0, ]", 1)),
     "two numbers in an entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[0.0 1.0, 0.0]", 1)),
+    # a read that ends between the two must not join them into 12
+    "two integers in an entry": document(IDENTITY_2.replace("[0.0, 0.0]", "[1 2, 0.0]", 1)),
     "sign alone": document(IDENTITY_2.replace("[0.0, 0.0]", "[-, 0.0]", 1)),
     "exponent without digits": document(IDENTITY_2.replace("1.0", "1e", 1)),
     "trailing data": document(IDENTITY_2) + "{}",
@@ -97,6 +101,14 @@ MALFORMED = {
     # json.loads refuses the file even though the last value is the one it keeps
     "an earlier operators value that is not JSON": document(
         "[[[1.0 0.0]]]", ', "operators": ' + IDENTITY_2 + ', "metadata": {}'),
+    "an earlier operators value with a trailing comma": document(
+        "[[[1.0, 0.0],]]]", ', "operators": ' + IDENTITY_2 + ', "metadata": {}'),
+    "an earlier operators value that ends past its ']]]'": document(
+        '[[["]]]"]]]', ', "operators": ' + IDENTITY_2 + ', "metadata": {}'),
+    # 5002 lists deep with no "]]]" before its end, past json's recursion limit
+    "an earlier operators value nested too deep for json": document(
+        "[[" + functools.reduce(lambda inner, _: f"[{inner},1]", range(5000), "[1]") + "]]",
+        ', "operators": ' + IDENTITY_2 + ', "metadata": {}'),
     "d of zero": document(IDENTITY_2).replace('"d": 2', '"d": 0'),
     # d and n are JSON integers: int() once read 2.7 and "2" as 2 and true as 1
     "d of 2.7": document(IDENTITY_2).replace('"d": 2', '"d": 2.7'),
@@ -118,7 +130,7 @@ ENTRIES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 METADATA = st.dictionaries(
     st.sampled_from(["operators", "note", "]]]", "é"]) | st.text(max_size=4),
     st.sampled_from(["]]]", '"operators": [[[', "[[[1, 0]]]"]) | st.text(max_size=6)
-    | st.integers() | st.lists(st.integers(), max_size=2),
+    | st.integers() | st.floats(allow_nan=False) | st.lists(st.integers(), max_size=2),
     max_size=3)
 WHITESPACE = st.text(" \t\n\r", max_size=2)
 
@@ -164,15 +176,48 @@ def unchecked_measurement(ops) -> core.Measurement:
     return core.Measurement(tuple(core.as_operator(op) for op in ops), math.nan)
 
 
-# prints how far a fresh interpreter's peak RSS, in KiB, rises across one load
+# prints how far a fresh interpreter's peak RSS, in KiB, rises across one load; it
+# reads VmHWM, the peak of the process's own memory, because ru_maxrss starts
+# from the peak of the forked test runner
 PEAK_GROWTH = """
-import resource, sys
+import sys
 from qmtest import cli
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak()
 cli.load_measurement(sys.argv[1])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak() - before)
 """
-LOAD_MEMORY_BOUND = 2.0  # peak growth per (file bytes + 16 k D^2 bytes of operators)
+LOAD_ALLOWANCE = 8 * 2**20  # bytes a load may grow by beyond twice its operators' 16 k D^2
+
+
+@pytest.fixture(params=["one-hot", "dense", "padded"])
+def measurement_file(request, tmp_path):
+    """(path, measurement) of 81 one-hot operators at D = 81, 5 dense ones at
+    D = 256, or 4 dense ones at D = 128 in a file padded with whitespace to
+    over 20 times their bytes."""
+    rng = np.random.default_rng(11)
+    meas, d, n = {"one-hot": lambda: (comp_basis_measurement(81), 3, 4),
+                  "dense": lambda: (oracles.random_measurement(256, 5, rng), 2, 8),
+                  "padded": lambda: (oracles.random_measurement(128, 4, rng), 2, 7)}[request.param]()
+    path = tmp_path / "m.json"
+    cli.save_measurement(path, meas, d, n)
+    if request.param == "padded":
+        path.write_text(path.read_text().replace(", ", ",\n" + " " * 200))
+        assert path.stat().st_size > 20 * 16 * len(meas) * meas.dim**2
+    return path, meas
+
+
+def load_bound(meas) -> int:
+    return 2 * 16 * len(meas) * meas.dim**2 + LOAD_ALLOWANCE
+
+
+@pytest.fixture(params=[1, 7, 64], ids=lambda size: f"chunk{size}")
+def small_chunks(request, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK", request.param)
 
 
 class TestMeasurementFiles:
@@ -232,6 +277,31 @@ class TestMeasurementFiles:
             cli.load_measurement(path)
         assert time.monotonic() - start < 1.0
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd")
+    def test_pipe_is_read(self):
+        # as in `qmtest validate <(cat m.json)`: a pipe cannot seek, and is read whole
+        read, write = os.pipe()
+        try:
+            os.write(write, document(IDENTITY_2).encode())  # within the pipe's buffer
+            os.close(write)
+            meas, d, n, _ = cli.load_measurement(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        np.testing.assert_array_equal(meas.operators[0], np.eye(2))
+        assert (d, n) == (2, 1)
+
+    def test_malformed_value_refused_where_it_fails(self, tmp_path, monkeypatch):
+        # the reader does not read on past an error that no later byte can mend
+        path = tmp_path / "m.json"
+        path.write_text(document(IDENTITY_2, ', "metadata": [1,], "note": "' + "x" * 2**20 + '"'))
+        monkeypatch.setattr(cli, "CHUNK", 64)
+        reads = []
+        monkeypatch.setattr(cli, "_read", lambda file, offset, size, read=cli._read:
+                            reads.append(size) or read(file, offset, size))
+        with pytest.raises(cli.FileFormatError):
+            cli.load_measurement(path)
+        assert sum(reads) < 1024
+
     def test_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -252,16 +322,38 @@ class TestMeasurementFiles:
         '{"note": "]]]"}',
         '{"note": "\\"operators\\": [[[9.0, 9.0]]]"}',
         '{"operators": [[[9.0, 9.0]]]}',
-    ], ids=["closing brackets", "operators string", "nested operators key"])
+        '{"\u00e9\u00e9": "\u00e9]]]"}',
+    ], ids=["closing brackets", "operators string", "nested operators key", "two-byte key"])
     @pytest.mark.parametrize("first", [True, False], ids=["metadata first", "operators first"])
     def test_top_level_operators_are_read(self, tmp_path, metadata, first):
         fields = [f'"metadata": {metadata}', f'"operators": {IDENTITY_2}']
         path = tmp_path / "m.json"
         path.write_text('{"version": 1, "d": 2, "n": 1, '
-                        + ", ".join(fields if first else fields[::-1]) + "}")
+                        + ", ".join(fields if first else fields[::-1]) + "}", encoding="utf-8")
         meas, _, _, meta = cli.load_measurement(path)
         np.testing.assert_array_equal(meas.operators[0], np.eye(2))
         assert meta == json.loads(metadata)
+
+    @pytest.mark.parametrize("earlier", ["[[[1, 2, 3]]]", '[[["]]", {"a": [[]]}]]]', "[[[]]]",
+                                         "[[[NaN, -Infinity, true, null]]]", "[[[1.5, 2e-3]]]"])
+    def test_replaced_operators_value_need_only_be_json(self, tmp_path, earlier):
+        # json.loads, and so the reader, keeps the last operators value, and reads
+        # the one it replaces as any JSON value
+        path = tmp_path / "m.json"
+        path.write_text(document(earlier, ', "operators": ' + IDENTITY_2 + ', "metadata": {}'))
+        for load in (cli.load_measurement, oracles.load_measurement_json):
+            np.testing.assert_array_equal(load(path)[0].operators[0], np.eye(2))
+
+    @pytest.mark.parametrize("version", ["1", "1.0", "1e0", "10E-1", "0.1e+1"])
+    def test_top_level_numbers_are_read(self, tmp_path, version):
+        # json.loads reads each spelling as a version equal to 1, after metadata
+        # that holds numbers of its own
+        path = tmp_path / "m.json"
+        path.write_text('{"metadata": {"scale": 2.5e-3, "shift": -1.0}, "d": 2, "n": 1, '
+                        f'"operators": {IDENTITY_2}, "version": {version}}}')
+        meas, d, n, meta = cli.load_measurement(path)
+        np.testing.assert_array_equal(meas.operators[0], np.eye(2))
+        assert (d, n, meta) == (2, 1, {"scale": 2.5e-3, "shift": -1.0})
 
     @pytest.mark.parametrize("spelled,value", [("+1", 1.0), (".5", 0.5), ("1.", 1.0),
                                                ("01", 1.0), ("-.5", -0.5), ("1.e0", 1.0)])
@@ -298,22 +390,47 @@ class TestMeasurementFiles:
             assert got_rest == [d, n, metadata]
             np.testing.assert_array_equal(np.array(got.operators), ops)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in Linux's KiB")
-    @pytest.mark.parametrize("kind", ["one-hot", "dense"])
-    def test_load_memory(self, tmp_path, rng, kind):
-        # 81 one-hot operators at D = 81, or 5 dense ones at D = 256
-        if kind == "one-hot":
-            meas, d, n = comp_basis_measurement(81), 3, 4
-        else:
-            meas, d, n = oracles.random_measurement(256, 5, rng), 2, 8
-        path = tmp_path / "m.json"
-        cli.save_measurement(path, meas, d, n)
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+    def test_load_memory(self, measurement_file):
+        # the peak holds the operators, their validated copy and a few chunks,
+        # whatever the file's size
+        path, meas = measurement_file
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", PEAK_GROWTH, str(path)], env=env,
                              capture_output=True, text=True, check=True).stdout
-        arrays = 16 * len(meas) * meas.dim**2
-        assert int(out) * 1024 <= LOAD_MEMORY_BOUND * (path.stat().st_size + arrays)
+        assert int(out) * 1024 <= load_bound(meas)
+
+    def test_load_memory_traced(self, measurement_file):
+        path, meas = measurement_file
+        tracemalloc.start()
+        try:
+            loaded = cli.load_measurement(path)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= load_bound(meas)
+        assert [op.tobytes() for op in loaded.operators] == [
+            op.tobytes() for op in oracles.load_measurement_json(path)[0].operators]
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestChunkBoundaries:
+    """The reader's format tests again with reads of 1, 7 and 64 bytes, so that
+    reads end inside numbers, whitespace runs, "] ] ]", keys and two-byte
+    characters."""
+
+    test_reader_matches_json_oracle = TestMeasurementFiles.test_reader_matches_json_oracle
+    test_malformed_file = TestMeasurementFiles.test_malformed_file
+    test_top_level_operators_are_read = TestMeasurementFiles.test_top_level_operators_are_read
+    test_top_level_numbers_are_read = TestMeasurementFiles.test_top_level_numbers_are_read
+    test_pipe_is_read = TestMeasurementFiles.test_pipe_is_read
+    test_replaced_operators_value_need_only_be_json = (
+        TestMeasurementFiles.test_replaced_operators_value_need_only_be_json)
+    test_number_spellings_json_forbids_are_read = (
+        TestMeasurementFiles.test_number_spellings_json_forbids_are_read)
+    test_huge_n_refused_before_d_to_the_n = (
+        TestMeasurementFiles.test_huge_n_refused_before_d_to_the_n)
 
 
 class TestReports:
@@ -748,6 +865,20 @@ class TestTestCommand:
         )
         assert code == 0
         assert report["verdict"]["decision"] == "accept"
+
+    @pytest.mark.parametrize("argv", [
+        ("test", "finite-set", "{a}", "--set", "{a}", "--set", "{b}", *EPS),
+        ("test", "finite-set", "{a}", "--set", "{b}", "--set", "{b}", *EPS),
+        ("estimate", "{a}", "{a}", *EPS),
+        ("distance", "{b}", "{b}"),
+    ], ids=["finite-set path as member", "finite-set duplicate member", "estimate", "distance"])
+    def test_each_file_is_read_once(self, capsys, monkeypatch, stab_file, stab_file_other, argv):
+        read, load = [], cli.load_measurement
+        monkeypatch.setattr(cli, "load_measurement", lambda path: read.append(path) or load(path))
+        paths = {"a": str(stab_file), "b": str(stab_file_other)}
+        argv = [word.format(**paths) for word in argv]
+        run_cli(capsys, *argv)
+        assert sorted(read) == sorted(set(argv) & set(paths.values()))
 
     def test_identical_members_refused(self, capsys, stab_file, stab_file_other):
         # identical members leave the family without a separation gamma
