@@ -5,11 +5,12 @@ Measurement files are JSON objects with the fields ``version`` (1), ``d``,
 operators, each a list of (d**n)**2 [re, im] number pairs in row-major order.
 The reader streams a file in chunks of ``CHUNK`` bytes: json's own scanner
 parses every other field from small decoded windows, and numpy checks and
-decodes ``operators`` a chunk at a time into one array, so no buffer the size
-of the file is held (a pipe is read whole).  It refuses whatever json refuses,
-and also NaN, Infinity, true, false and blank entries; it reads the spellings
-+1, .5, 1. and 01, which JSON forbids, as numbers.  A command reads each
-distinct path once.
+decodes ``operators`` a chunk at a time into one read-only array, whose views
+are the loaded operators: no buffer the size of the file is held (a pipe is
+read whole), and the operators are held once.  It refuses whatever json
+refuses, and also NaN, Infinity, true, false and blank entries; it reads the
+spellings +1, .5, 1. and 01, which JSON forbids, as numbers.  A command reads
+each distinct path once.  The writer streams too, one operator row at a time.
 
 Reports are canonical, strict JSON (sorted keys, two-space indent, non-finite
 numbers written as null) so a parse/emit round trip is byte-identical.  Exit
@@ -96,20 +97,21 @@ class UsageError(QmtestError):
 # measurement files
 
 
-def _matrix_to_pairs(op: np.ndarray) -> list:
-    """Row-major [re, im] pairs of a complex matrix, as Python floats."""
-    return np.stack([op.real, op.imag], axis=-1).reshape(-1, 2).tolist()
-
-
 def save_measurement(path, meas: Measurement, d: int, n: int, metadata: dict | None = None):
-    doc = {
-        "version": FILE_VERSION,
-        "d": int(d),
-        "n": int(n),
-        "operators": [_matrix_to_pairs(op) for op in meas.operators],
-        "metadata": {str(k): str(v) for k, v in (metadata or {}).items()},
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    """Write a measurement file: the bytes of ``json.dumps(doc, sort_keys=True)``
+    and a newline, streamed one operator row at a time, so no document is built."""
+    metadata = {str(k): str(v) for k, v in (metadata or {}).items()}
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(f'{{"d": {int(d)}, "metadata": {json.dumps(metadata, sort_keys=True)}, '
+                   f'"n": {int(n)}, "operators": [')
+        for i, op in enumerate(meas.operators):
+            file.write(", [" if i else "[")
+            for r, row in enumerate(op):
+                # the row's [re, im] pairs without the list's own brackets
+                pairs = json.dumps(np.stack([row.real, row.imag], axis=-1).tolist())[1:-1]
+                file.write(", " + pairs if r else pairs)
+            file.write("]")
+        file.write(f'], "version": {FILE_VERSION}}}\n')
 
 
 def _read(file, offset: int, size: int) -> bytes:
@@ -381,8 +383,10 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
     The file is streamed ``CHUNK`` bytes at a time: json's scanner reads the
     fields from small decoded windows, and numpy parses the operators a chunk
     at a time into one (k, D, D) array, never as one Python float per entry.
-    No buffer the size of the file is held, so the peak is the operators, their
-    validated copy and a few chunks, however large the file or its whitespace.
+    No buffer the size of the file is held, and the array is set read-only, so
+    ``validate_measurement`` keeps its views instead of copying them: the peak
+    is the operators once and a few chunks, however large the file or its
+    whitespace.
     Two cases cost what a whole-file read does: a pipe, which cannot seek, is
     read whole first, and an ``operators`` value that a later one replaces is
     built by json's scanner to check it.
@@ -398,6 +402,7 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
             ops = _operators(file, span, k, d**n, path)
     except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
         raise FileFormatError(f"cannot parse {path}: {exc}") from exc
+    ops.setflags(write=False)  # so the measurement keeps views of this block
     meas = validate_measurement(list(ops), tol)
     return meas, d, n, fields.get("metadata", {})
 

@@ -94,8 +94,23 @@ class Measurement:
         return np.array([choi_prob(op) for op in self.operators])
 
 
+def _frozen(A: np.ndarray) -> np.ndarray:
+    """A itself when nobody can write it, else a read-only copy of A."""
+    owner = A if A.base is None else A.base
+    if A.flags.writeable or not (isinstance(owner, np.ndarray) and owner.base is None
+                                 and not owner.flags.writeable):
+        A = A.copy()
+        A.setflags(write=False)
+    return A
+
+
 def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurement:
-    """Check the completeness equation and freeze the operator list."""
+    """Check the completeness equation and freeze the operator list.
+
+    An operator that nobody can write is kept: it is read-only, and its memory
+    is owned by a read-only array, itself or ``op.base`` (a view of the
+    loader's read-only block, say).  Any other operator is copied and frozen.
+    """
     if not ops:
         raise ValueError("measurement needs at least one operator")
     mats = [as_operator(op) for op in ops]
@@ -110,12 +125,7 @@ def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurem
         raise CompletenessViolation(
             f"sum_i M_i^dag M_i deviates from I by {residual:.3e} (tol {tol:.1e})"
         )
-    frozen = []
-    for m in mats:
-        m = m.copy()
-        m.setflags(write=False)
-        frozen.append(m)
-    return Measurement(operators=tuple(frozen), completeness_residual=residual)
+    return Measurement(operators=tuple(map(_frozen, mats)), completeness_residual=residual)
 
 
 def choi_prob(A) -> float:

@@ -190,12 +190,12 @@ def test_stabilizer(box: BlackBox, cfg: TesterConfig) -> Verdict:
 
     label_counts = [box.sample_label_counts(branch, T) for branch in (0, 1)]
     observed = np.flatnonzero(label_counts[0] | label_counts[1])
-    extra = observed[observed != 0].tolist()
+    extra = observed[observed != 0]
     stats["labels_observed"] = int(observed.size)
-    if len(extra) != 1:
-        stats["label_ambiguity"] = len(extra) == 0
+    if extra.size != 1:
+        stats["label_ambiguity"] = extra.size == 0
         return Verdict("pauli_labels", box.query_count, stats, params)
-    ab = pauli.label_from_index(extra[0], 2, n)
+    ab = pauli.label_from_index(int(extra[0]), 2, n)
     stats["ab_label"] = [list(ab.x), list(ab.z)]
     fracs = [label_counts[b][0] / T for b in (0, 1)]
     stats["identity_label_fractions"] = fracs

@@ -591,6 +591,20 @@ def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     return arr.astype(float).view(complex).reshape(dim, dim)
 
 
+def save_measurement_json(path, meas: Measurement, d: int, n: int, metadata: dict | None = None):
+    """``cli.save_measurement`` by ``json.dumps`` of the whole document, every
+    entry a Python float in nested lists: the writer the streamed one replaced."""
+    doc = {
+        "version": cli.FILE_VERSION,
+        "d": int(d),
+        "n": int(n),
+        "operators": [np.stack([op.real, op.imag], axis=-1).reshape(-1, 2).tolist()
+                      for op in meas.operators],
+        "metadata": {str(k): str(v) for k, v in (metadata or {}).items()},
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
 def load_measurement_json(path, tol: float = DEFAULT_COMPLETENESS_TOL):
     """``cli.load_measurement`` by ``json.loads`` of the whole file, one Python
     float per entry, then ``np.array`` per operator: the slow path the numpy

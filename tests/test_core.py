@@ -60,6 +60,32 @@ class TestValidateMeasurement:
         with pytest.raises(ValueError):
             m.operators[0][0, 0] = 5.0
 
+    def test_operator_nobody_can_write_is_kept(self):
+        owner = np.eye(2, dtype=complex)
+        owner.setflags(write=False)
+        block = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        block.setflags(write=False)
+        m = core.validate_measurement([owner])
+        assert np.shares_memory(m.operators[0], owner)
+        m = core.validate_measurement(list(block))
+        assert all(np.shares_memory(op, block) for op in m.operators)
+        assert not any(op.flags.writeable for op in m.operators)
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view", "frombuffer"])
+    def test_operator_someone_can_write_is_copied(self, kind):
+        source = np.eye(2, dtype=complex)
+        buffer = bytearray(source.tobytes())
+        op = {"writeable": lambda: source,
+              "read-only view": lambda: source[:, :],
+              "frombuffer": lambda: np.frombuffer(buffer, dtype=complex).reshape(2, 2)}[kind]()
+        op.setflags(write=kind == "writeable")
+        m = core.validate_measurement([op])
+        assert not m.operators[0].flags.writeable
+        source[0, 0] = 5.0
+        buffer[:8] = np.float64(5.0).tobytes()
+        assert op[0, 0] == 5.0  # the source changed, and the measurement did not
+        np.testing.assert_array_equal(m.operators[0], np.eye(2))
+
 
 class TestApplyMeasurement:
     def test_plus_state_split(self):
