@@ -624,8 +624,10 @@ def _perminv_fixture(ns):
 
 def _compbasis_fixture(ns):
     D = ns.d**ns.n
-    meas = validate_measurement([np.diag((np.arange(D) == i).astype(complex))
-                                 for i in range(D)])
+    ops = np.zeros((D, D, D), dtype=complex)
+    ops[np.arange(D), np.arange(D), np.arange(D)] = 1
+    ops.setflags(write=False)  # so the measurement keeps views of this block
+    meas = validate_measurement(list(ops))
     yield f"compbasis_d{ns.d}_n{ns.n}.json", meas, ns.d, {"kind": "compbasis"}
 
 

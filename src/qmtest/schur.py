@@ -26,7 +26,8 @@ P_{p s} = P_p P_s, and rho_lambda is a representation, of which
 ``_yor_generators`` gives the generators), and every permutation is a word of
 at most n(n-1)/2 generators, so the generator residuals bound the residual of
 all n! permutations; see ``verify_schur_basis``.  Each U P_{s_j} is a column
-gather of U, and no dense permutation matrix is built.
+gather of U, and no dense permutation matrix is built.  By Schur's lemma the
+collective residual then follows with no product formed; see the same place.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (DimensionMismatch, Measurement, QmtestError, as_operator, random_unitary,
-                   validate_measurement)
+from .core import DimensionMismatch, Measurement, QmtestError, as_operator, validate_measurement
 
 Partition = tuple[int, ...]
 
@@ -271,8 +271,10 @@ def build_schur_transform(d: int, n: int) -> SchurBasis:
     Young's orthogonal basis is the Gelfand-Tsetlin basis, on which X_k acts as
     the content of the box holding k (Okounkov and Vershik, arXiv:math/0503040).
     Within block lambda, the eigenspace of each X_k at its content in the first
-    tableau T_0 is the image of the matrix unit e_00, and Gram-Schmidt over its
-    projector's columns gives the seeds.  Every other tableau T is s_i T' for an
+    tableau T_0 is the image of the matrix unit e_00, spanned by the chain's V,
+    and Gram-Schmidt over the columns of V V^T, each V times a row of V, gives
+    the seeds; as V keeps inner products, it runs on the rows of V, with no D x D
+    projector formed.  Every other tableau T is s_i T' for an
     earlier T', as swapping i and i + 1 with i + 1 in a higher row gives a
     smaller standard tableau, and P_{s_i}|T'> = g[T', T']|T'> + g[T, T']|T>
     with g = rho(s_i) gives |T>.
@@ -290,7 +292,7 @@ def build_schur_transform(d: int, n: int) -> SchurBasis:
         for k, rows in enumerate(gathers, start=1):
             values, vectors = np.linalg.eigh(V.T @ sum(V[r] for r in rows))  # V^T X_{k+1} V
             V = V @ vectors[:, np.abs(values - contents[k]) < 0.5]
-        columns = [_orthonormal_image(V @ V.T, w, shape)]
+        columns = [V @ _orthonormal_image(V.T, w, shape)]
         gens = _yor_generators(shape)
         for b in range(1, v):
             # off the diagonal, gens[i] couples T only to T' = s_i T
@@ -303,15 +305,15 @@ def build_schur_transform(d: int, n: int) -> SchurBasis:
     return SchurBasis.from_unitary(d, n, U)
 
 
-def _orthonormal_image(proj: np.ndarray, rank: int, shape: Partition) -> np.ndarray:
-    """Deterministic orthonormal basis of a projector's image (columns).
+def _orthonormal_image(mat: np.ndarray, rank: int, shape: Partition) -> np.ndarray:
+    """Deterministic orthonormal basis of a matrix's column span (columns).
 
-    Modified Gram-Schmidt over the projector's columns in column order, with a
+    Modified Gram-Schmidt over the columns in column order, with a
     re-orthogonalization pass; fails loudly if the detected rank is off.
     """
     vectors: list[np.ndarray] = []
-    for c in range(proj.shape[1]):
-        vec = proj[:, c].astype(np.complex128)
+    for c in range(mat.shape[1]):
+        vec = mat[:, c].astype(np.complex128)
         for _ in range(2):
             for u in vectors:
                 vec = vec - u * np.vdot(u, vec)
@@ -322,7 +324,7 @@ def _orthonormal_image(proj: np.ndarray, rank: int, shape: Partition) -> np.ndar
             break
     if len(vectors) != rank:
         raise VerificationFailure(
-            f"projector image for shape {shape} has rank {len(vectors)}, expected {rank}"
+            f"image for shape {shape} has rank {len(vectors)}, expected {rank}"
         )
     return np.column_stack(vectors)
 
@@ -330,25 +332,31 @@ def _orthonormal_image(proj: np.ndarray, rank: int, shape: Partition) -> np.ndar
 def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     """Check unitarity and both intertwining block structures.
 
-    ``unitarity`` is |U U^dag - I|_F.  ``collective_blocks`` is the largest
-    distance of U E^{(x)n} U^dag from its I_v-factored part over 20 Haar-random
-    unitaries E drawn from a generator with the fixed seed 20240801, so a basis
-    always gets the same residuals.  A unitary E keeps |E^{(x)n}| at 1, so the
-    residual tracks the unitarity residual at every size; a Gaussian E grows
-    like |E|^n, and at (2, 10) its rounding alone read 1.2e-8.
-    ``permutation_blocks`` bounds |U P_p U^dag - (+)_lambda I_w (x)
-    rho_lambda(p)|_F over all n! permutations p, from the n - 1 adjacent
-    transpositions alone.  With r
-    the largest generator residual, eta the unitarity residual and
+    ``unitarity`` is eta = |U U^dag - I|_F = |U^dag U - I|_F (the products share
+    their eigenvalues), so |U|^2 <= 1 + eta in operator norm.
+    ``permutation_blocks`` bounds |Q_p - R_p|_F, Q_p = U P_p U^dag and R_p =
+    (+)_lambda I_w (x) rho_lambda(p), over all n! permutations p, from the n - 1
+    adjacent transpositions alone.  With r the largest generator residual and
     a = r + eta, appending a generator to a word of residual e gives a
     residual of at most e + a + e r + eta^2 <= (e + a)(1 + a), and every p
     is a word of at most K = n(n-1)/2 generators, so up to rounding each
     residual is at most K a (1 + a)^K, which is K (r + eta) to first order.
 
+    ``collective_blocks`` bounds |X - Pi(X)|_F, X = U F U^dag, F = E^{(x)n}, for
+    every unitary E, where Pi(X) = (1/n!) sum_p R_p X R_p^dag.  The rho_lambda
+    are irreducible and pairwise inequivalent, so by Schur's lemma Pi(X) is the
+    I_v-factored part of X, the ``hat`` of ``block_decompose``: 0 between
+    blocks and (1/v) tr_v(X_lambda,lambda) (x) I_v on block lambda.  With e the
+    permutation bound and Delta = U^dag U - I, as P_p F P_p^dag = F,
+    X - Q_p X Q_p^dag = -U P_p (Delta F + F Delta + Delta F Delta) P_p^dag U^dag
+    has norm <= (1 + eta)(2 eta + eta^2), and Q_p X Q_p^dag - R_p X R_p^dag =
+    (Q_p - R_p) X Q_p^dag + R_p X (Q_p - R_p)^dag has norm <= 2 e (1 + eta)^2.
+    So |X - Pi(X)|_F <= max_p |X - R_p X R_p^dag|_F is at most the reported
+    (2 b + b^2)(1 + b)^2, b = e + eta.
+
     Raises VerificationFailure when either block residual exceeds 1e-8 or
     the unitarity residual exceeds 1e-10.  Returns the residuals for reporting.
     """
-    rng = np.random.default_rng(20240801)
     U = basis.U
     D, n = basis.D, basis.n
     U_dag = U.conj().T
@@ -367,21 +375,8 @@ def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     words = n * (n - 1) // 2
     a = generator_res + unitarity
     perm_res = max(unitarity, words * a * (1.0 + a) ** words)
-    collective_res = 0.0
-    for _ in range(20):
-        E = random_unitary(basis.d, rng)
-        tensor = E
-        for _ in range(basis.n - 1):
-            tensor = np.kron(tensor, E)
-        got = U @ tensor @ U_dag
-        approx = np.zeros_like(got)
-        for shape in basis.shapes:
-            offset, w, v = basis.blocks[shape]
-            sl = slice(offset, offset + w * v)
-            sub = got[sl, sl].reshape(w, v, w, v)
-            collective = np.einsum("abcb->ac", sub) / v
-            approx[sl, sl] = np.kron(collective, np.eye(v))
-        collective_res = max(collective_res, float(np.linalg.norm(got - approx)))
+    b = perm_res + unitarity
+    collective_res = (2.0 * b + b * b) * (1.0 + b) ** 2
     residuals = {
         "unitarity": unitarity,
         "permutation_blocks": perm_res,

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import functools
@@ -1092,6 +1093,19 @@ class TestFixturesCommand:
         assert code == 0
         code, _ = run_cli(capsys, "fixtures", "compbasis", str(tmp_path), "--n", "2")
         assert code == 0
+
+    def test_compbasis_holds_its_operators_once(self):
+        # one read-only (D, D, D) block that validation keeps views of, not a
+        # validated copy of each operator
+        tracemalloc.start()
+        try:
+            meas = next(cli._compbasis_fixture(argparse.Namespace(d=3, n=4)))[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 81**3 + 2**20
+        assert all(op.base is meas.operators[0].base for op in meas.operators)
+        np.testing.assert_array_equal(sum(meas.operators), np.eye(81))
 
     # each once exited 0 writing nothing, or 2 with an error naming no option
     @pytest.mark.parametrize("kind,option,value", [

@@ -31,6 +31,31 @@ def loop_permutation_residual(basis) -> float:
     return worst
 
 
+def sampled_collective_residual(basis) -> float:
+    """Largest |X - hat|_F, X = U E^{(x)n} U^dag and hat its I_v-factored part,
+    over 20 Haar-random unitaries E from the fixed seed 20240801: the sampled
+    check that the derived bound of ``verify_schur_basis`` replaced, kept here
+    as its oracle.  A unitary E keeps |E^{(x)n}| at 1, so the residual tracks
+    the unitarity residual at every size."""
+    rng = np.random.default_rng(20240801)
+    U = basis.U
+    worst = 0.0
+    for _ in range(20):
+        E = core.random_unitary(basis.d, rng)
+        tensor = E
+        for _ in range(basis.n - 1):
+            tensor = np.kron(tensor, E)
+        got = U @ tensor @ U.conj().T
+        approx = np.zeros_like(got)
+        for shape in basis.shapes:
+            _, w, v = basis.blocks[shape]
+            sl = basis.block_slice(shape)
+            collective = np.einsum("abcb->ac", got[sl, sl].reshape(w, v, w, v)) / v
+            approx[sl, sl] = np.kron(collective, np.eye(v))
+        worst = max(worst, float(np.linalg.norm(got - approx)))
+    return worst
+
+
 def remainder(A, basis):
     """R = U A U^dag - hat: the part of A that the invariant projection drops."""
     bd = schur.block_decompose(A, basis)
@@ -429,6 +454,35 @@ class TestGeneratorCheck:
         assert residuals == basis.residuals
         assert residuals["permutation_blocks"] >= loop_permutation_residual(basis)
         assert residuals["permutation_blocks"] <= 1e-8
+        assert residuals["collective_blocks"] >= sampled_collective_residual(basis)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-10])
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4)])
+    def test_bound_covers_perturbed_bases(self, d, n, eps):
+        # U exp(i eps H) with |H|_F = 1 moves U by about eps and every block residual
+        # off rounding; the derived collective bound must still cover the sampled one
+        basis = schur.build_schur_transform(d, n)
+        G = oracles.random_operator(basis.D, np.random.default_rng(n * d))
+        H = G + G.conj().T
+        values, vectors = np.linalg.eigh(H / np.linalg.norm(H))
+        U = basis.U @ (vectors * np.exp(1j * eps * values)) @ vectors.conj().T
+        perturbed = schur.SchurBasis.from_unitary(d, n, U)
+        assert perturbed.residuals["collective_blocks"] >= sampled_collective_residual(perturbed)
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4)])
+    def test_collective_rotation_accepted(self, d, n):
+        # any unitary on the collective factor of a block keeps a Schur basis
+        basis = schur.build_schur_transform(d, n)
+        shape = next(s for s in basis.shapes if min(basis.blocks[s][1:]) >= 2)
+        U = basis.U.copy()
+        c, s = math.cos(0.7), math.sin(0.7)
+        for b in range(basis.blocks[shape][2]):
+            i, j = oracles.schur_index(basis, shape, 0, b), oracles.schur_index(basis, shape, 1, b)
+            U[i], U[j] = c * basis.U[i] - s * basis.U[j], s * basis.U[i] + c * basis.U[j]
+        rotated = schur.SchurBasis.from_unitary(d, n, U)
+        assert not np.allclose(rotated.U, basis.U)
+        assert max(rotated.residuals.values()) <= 1e-10
+        assert rotated.residuals["collective_blocks"] >= sampled_collective_residual(rotated)
 
     @pytest.mark.parametrize("mutate", [_swap_rows_across_blocks, _rotate_permutation_index,
                                         _gather_by_site_transposition])
