@@ -40,7 +40,6 @@ and ignores it.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import io
 import json
@@ -130,11 +129,14 @@ def _chunks(file, start: int, stop: int):
 
 
 class _Window:
-    """The text of a file from a byte offset on, decoded ``CHUNK`` bytes at a time.
+    """The text of a file from a byte offset on, read ``CHUNK`` bytes at a time
+    and decoded as latin-1, one character per byte, so a position is a byte offset.
 
+    Outside strings JSON text is ASCII, and no byte of a UTF-8 sequence is '"' or
+    a backslash, so json's scanner finds the same tokens here as in the UTF-8
+    text; ``value`` decodes a value that holds other bytes again, as UTF-8.
     Only the text from the position ``i`` on is kept, and a read asks for no
-    more bytes than are left; the decoder holds back a character that a read
-    cuts in two.  Whitespace between tokens is skipped, as json does.
+    more bytes than are left.  Whitespace between tokens is skipped, as json does.
     """
 
     def __init__(self, file, size: int, offset: int = 0):
@@ -142,25 +144,21 @@ class _Window:
         self.seek(offset)
 
     def seek(self, offset: int):
-        self.start = self.next = offset  # byte offsets of text[0] and of the next read
-        self.text, self.i = "", 0
-        self.decoder = codecs.getincrementaldecoder("utf-8")()
+        self.start, self.text, self.i = offset, "", 0  # start: the byte offset of text[0]
 
     def offset(self) -> int:
         """The byte offset of the position."""
-        done = self.text[:self.i]
-        return self.start + (self.i if done.isascii() else len(done.encode()))
+        return self.start + self.i
 
     def more(self) -> bool:
-        """Drop the text before the position and decode as many bytes as are
+        """Drop the text before the position and read as many bytes as are
         kept, or ``CHUNK`` if that is more; False at the end of the file."""
-        if self.next == self.size:
+        end = self.start + len(self.text)
+        if end == self.size:
             return False
         self.start, self.text, self.i = self.offset(), self.text[self.i:], 0
-        size = min(max(CHUNK, len(self.text)), self.size - self.next)
-        data = _read(self.file, self.next, size)
-        self.next += size
-        self.text += self.decoder.decode(data, final=self.next == self.size)
+        size = min(max(CHUNK, len(self.text)), self.size - end)
+        self.text += _read(self.file, end, size).decode("latin-1")
         return True
 
     def peek(self) -> str:
@@ -199,8 +197,8 @@ class _Window:
                 continue
             if error:
                 raise error
-            self.i = at
-            return value
+            raw, self.i = self.text[self.i:at], at
+            return value if raw.isascii() else json.loads(raw.encode("latin-1").decode())
 
     def key(self) -> str:
         """An object key and its colon."""

@@ -54,17 +54,10 @@ class PauliLabel:
         return not any(self.x) and not any(self.z)
 
 
-def _index_to_digits(v: int, d: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(v % d)
-        v //= d
-    return tuple(reversed(out))
-
-
 def label_from_index(idx: int, d: int, n: int) -> PauliLabel:
-    D = d**n
-    return PauliLabel(_index_to_digits(idx // D, d, n), _index_to_digits(idx % D, d, n), d)
+    """The label at ``idx`` in lexicographic (x, z) order: its 2n base-d digits."""
+    digits = tuple(int(c) for c in np.unravel_index(idx, (d,) * (2 * n)))
+    return PauliLabel(digits[:n], digits[n:], d)
 
 
 @lru_cache(maxsize=None)

@@ -25,9 +25,9 @@ rho_lambda(p) are homomorphisms (the site permutation unitaries have
 P_{p s} = P_p P_s, and rho_lambda is a representation, of which
 ``_yor_generators`` gives the generators), and every permutation is a word of
 at most n(n-1)/2 generators, so the generator residuals bound the residual of
-all n! permutations; see ``verify_schur_basis``.  Each U P_{s_j} is a column
-gather of U, and no dense permutation matrix is built.  By Schur's lemma the
-collective residual then follows with no product formed; see the same place.
+all n! permutations; see ``verify_schur_basis``.  Each U P_{s_j}, a column
+gather of U, is compared with R_{s_j} U inside each block, and by Schur's lemma
+the collective residual follows with no product formed; see the same place.
 """
 
 from __future__ import annotations
@@ -246,10 +246,6 @@ class SchurBasis:
     def D(self) -> int:
         return self.d**self.n
 
-    def block_slice(self, shape: Partition) -> slice:
-        offset, w, v = self.blocks[shape]
-        return slice(offset, offset + w * v)
-
 
 def _block_layout(d: int, n: int) -> tuple[tuple[Partition, ...], dict]:
     """Block shapes in basis order and each one's (offset, w, v)."""
@@ -274,10 +270,10 @@ def build_schur_transform(d: int, n: int) -> SchurBasis:
     tableau T_0 is the image of the matrix unit e_00, spanned by the chain's V,
     and Gram-Schmidt over the columns of V V^T, each V times a row of V, gives
     the seeds; as V keeps inner products, it runs on the rows of V, with no D x D
-    projector formed.  Every other tableau T is s_i T' for an
-    earlier T', as swapping i and i + 1 with i + 1 in a higher row gives a
-    smaller standard tableau, and P_{s_i}|T'> = g[T', T']|T'> + g[T, T']|T>
-    with g = rho(s_i) gives |T>.
+    projector formed.  Every other tableau T is s_i T' for an earlier T', as
+    swapping i and i + 1 with i + 1 in a higher row gives a smaller standard
+    tableau, and P_{s_i}|T'> = g[T', T']|T'> + g[T, T']|T> with g = rho(s_i)
+    gives |T>.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
@@ -329,6 +325,19 @@ def _orthonormal_image(mat: np.ndarray, rank: int, shape: Partition) -> np.ndarr
     return np.column_stack(vectors)
 
 
+def _gathered_residual(basis: SchurBasis) -> float:
+    """max_s |U P_s - R_s U|_F: a column gather of U against a row mix inside each block."""
+    squares = np.zeros(basis.n - 1)
+    for shape in basis.shapes:
+        offset, w, v = basis.blocks[shape]
+        block = basis.U[offset : offset + w * v]
+        for j, g in enumerate(_yor_generators(shape)):
+            rows = _perm_row_map(_adjacent_transposition(j, basis.n), basis.d)
+            mixed = (g @ block.reshape(w, v, basis.D)).reshape(w * v, basis.D)
+            squares[j] += np.linalg.norm(block[:, rows] - mixed) ** 2
+    return math.sqrt(squares.max(initial=0.0))
+
+
 def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     """Check unitarity and both intertwining block structures.
 
@@ -336,11 +345,14 @@ def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     their eigenvalues), so |U|^2 <= 1 + eta in operator norm.
     ``permutation_blocks`` bounds |Q_p - R_p|_F, Q_p = U P_p U^dag and R_p =
     (+)_lambda I_w (x) rho_lambda(p), over all n! permutations p, from the n - 1
-    adjacent transpositions alone.  With r the largest generator residual and
-    a = r + eta, appending a generator to a word of residual e gives a
-    residual of at most e + a + e r + eta^2 <= (e + a)(1 + a), and every p
-    is a word of at most K = n(n-1)/2 generators, so up to rounding each
-    residual is at most K a (1 + a)^K, which is K (r + eta) to first order.
+    adjacent transpositions s alone, each compared inside the blocks: g is the
+    largest |U P_s - R_s U|_F (``_gathered_residual``).  As Q_s - R_s =
+    (U P_s - R_s U) U^dag + R_s (U U^dag - I), |U^dag| <= 1 + eta and R_s is
+    orthogonal, each generator residual is at most r = g (1 + eta) + eta.  With
+    a = r + eta, appending a generator to a word of residual e gives a residual
+    of at most e + a + e r + eta^2 <= (e + a)(1 + a), and every p is a word of
+    at most K = n(n-1)/2 generators, so up to rounding each residual is at most
+    K a (1 + a)^K, which is K (r + eta) to first order.
 
     ``collective_blocks`` bounds |X - Pi(X)|_F, X = U F U^dag, F = E^{(x)n}, for
     every unitary E, where Pi(X) = (1/n!) sum_p R_p X R_p^dag.  The rho_lambda
@@ -357,31 +369,14 @@ def verify_schur_basis(basis: SchurBasis) -> dict[str, float]:
     Raises VerificationFailure when either block residual exceeds 1e-8 or
     the unitarity residual exceeds 1e-10.  Returns the residuals for reporting.
     """
-    U = basis.U
-    D, n = basis.D, basis.n
-    U_dag = U.conj().T
-    unitarity = float(np.linalg.norm(U @ U_dag - np.eye(D)))
-    gens = [_yor_generators(shape) for shape in basis.shapes]
-    generator_res = 0.0
-    for j in range(n - 1):
-        s = _adjacent_transposition(j, n)
-        got = U[:, _perm_row_map(s, basis.d)] @ U_dag  # U P_s U^dag
-        expected = np.zeros((D, D))
-        for k, shape in enumerate(basis.shapes):
-            _, w, _ = basis.blocks[shape]
-            sl = basis.block_slice(shape)
-            expected[sl, sl] = np.kron(np.eye(w), gens[k][j])
-        generator_res = max(generator_res, float(np.linalg.norm(got - expected)))
-    words = n * (n - 1) // 2
-    a = generator_res + unitarity
+    unitarity = float(np.linalg.norm(basis.U @ basis.U.conj().T - np.eye(basis.D)))
+    words = basis.n * (basis.n - 1) // 2
+    a = _gathered_residual(basis) * (1.0 + unitarity) + 2.0 * unitarity  # r + eta
     perm_res = max(unitarity, words * a * (1.0 + a) ** words)
     b = perm_res + unitarity
     collective_res = (2.0 * b + b * b) * (1.0 + b) ** 2
-    residuals = {
-        "unitarity": unitarity,
-        "permutation_blocks": perm_res,
-        "collective_blocks": collective_res,
-    }
+    residuals = {"unitarity": unitarity, "permutation_blocks": perm_res,
+                 "collective_blocks": collective_res}
     if unitarity > 1e-10 or perm_res > 1e-8 or collective_res > 1e-8:
         raise VerificationFailure(f"block-structure residuals too large: {residuals}")
     return residuals
@@ -427,7 +422,10 @@ def _jucys_murphy_blocks(d: int, n: int) -> tuple[list, list[np.ndarray]]:
     lambda as the content of the box holding k, so the real symmetric
     Z = (n^3 + 1) sum_k X_k + sum_k X_k^2 is (n^3 + 1) sum c + sum c^2 there,
     fixing both sums as 0 <= sum c^2 <= n^3; content sums alone collide:
-    (4, 1, 1) and (3, 3) both give 3.  A block whose eigenspace of Z has the
+    (4, 1, 1) and (3, 3) both give 3.  A site permutation keeps each basis
+    vector's digit multiset, so Z has no entries between two multisets' spans,
+    the weight spaces; one ``eigh`` per span leaves every eigenvector on its
+    span, with exact zeros elsewhere.  A block whose eigenspace of Z has the
     wrong rank raises VerificationFailure.
     """
     D = checked_dimension(d, n)
@@ -439,7 +437,11 @@ def _jucys_murphy_blocks(d: int, n: int) -> tuple[list, list[np.ndarray]]:
         gathers.append(rows)
         X = (n**3 + 1) * eye + sum(eye[r] for r in rows)
         Z += sum(X[r] for r in rows)  # (n^3 + 1) X_k + X_k^2
-    values, vectors = np.linalg.eigh(Z)
+    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, D), axis=0)
+    values, vectors = np.zeros(D), np.zeros((D, D))
+    for key in np.unique(keys):
+        span = np.flatnonzero(keys == key)
+        values[span], vectors[np.ix_(span, span)] = np.linalg.eigh(Z[np.ix_(span, span)])
     spaces = []
     for shape in partitions(n, d):
         c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])
@@ -454,9 +456,7 @@ def _jucys_murphy_blocks(d: int, n: int) -> tuple[list, list[np.ndarray]]:
 def isotypic_projectors(d: int, n: int) -> Measurement:
     """Projective measurement onto the partition blocks, in partitions() order,
     for d, n >= 1 with d^n <= MAX_DIM: V V^T over each block's eigenvectors V
-    from ``_jucys_murphy_blocks``, so n has no cap.
+    from ``_jucys_murphy_blocks``, so n has no cap.  Each eigenvector lies on
+    one digit multiset's span, so entries between two spans are exact zeros.
     """
-    _, spaces = _jucys_murphy_blocks(d, n)
-    # permutations keep each digit multiset's span: no block has entries between two
-    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, d**n), axis=0)
-    return validate_measurement([np.where(keys[:, None] == keys, V @ V.T, 0.0) for V in spaces])
+    return validate_measurement([V @ V.T for V in _jucys_murphy_blocks(d, n)[1]])

@@ -443,6 +443,12 @@ def hook_content_dims(shape, d: int) -> tuple[Fraction, Fraction]:
     return gl, sn * math.factorial(sum(shape))
 
 
+def block_slice(basis: schur.SchurBasis, shape) -> slice:
+    """The rows of U that hold block ``shape``."""
+    offset, w, v = basis.blocks[shape]
+    return slice(offset, offset + w * v)
+
+
 def schur_index(basis: schur.SchurBasis, shape, a: int, b: int) -> int:
     """Row of U holding collective index a and permutation index b of block ``shape``."""
     offset, w, v = basis.blocks[shape]
@@ -537,8 +543,29 @@ def isotypic_projectors_from_basis(basis: schur.SchurBasis) -> Measurement:
     """Projective measurement onto the partition blocks, in the standard basis,
     from the Schur basis: the build ``schur.isotypic_projectors`` replaced."""
     # the block's rows V of U span its image, so its projector is V^dag V
-    blocks = [basis.U[basis.block_slice(shape)] for shape in basis.shapes]
+    blocks = [basis.U[block_slice(basis, shape)] for shape in basis.shapes]
     return validate_measurement([V.conj().T @ V for V in blocks])
+
+
+def isotypic_projectors_global_eigh(d: int, n: int) -> Measurement:
+    """The isotypic projectors from one ``eigh`` of the whole D x D element Z of
+    ``schur._jucys_murphy_blocks``, with the rounding it leaves between two digit
+    multisets' spans masked to 0: the build the per-span ``eigh`` replaced."""
+    D = d**n
+    eye, Z = np.eye(D), np.zeros((D, D))
+    for k in range(1, n):
+        rows = [schur._perm_row_map(tuple({j: k, k: j}.get(s, s) for s in range(n)), d)
+                for j in range(k)]
+        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)
+        Z += sum(X[r] for r in rows)
+    values, vectors = np.linalg.eigh(Z)
+    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, D), axis=0)
+    ops = []
+    for shape in schur.partitions(n, d):
+        c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])
+        V = vectors[:, np.abs(values - (n**3 + 1) * c.sum() - c @ c) < 0.5]
+        ops.append(np.where(keys[:, None] == keys, V @ V.T, 0.0))
+    return validate_measurement(ops)
 
 
 def permutation_operator(perm, d: int) -> np.ndarray:

@@ -78,6 +78,12 @@ MALFORMED = {
     "missing operators": '{"version": 1, "d": 2, "n": 1, "metadata": {}}',
     "non-ASCII character": document(IDENTITY_2.replace("0.0]", "0.0\u00a0]", 1)),
     "non-UTF-8 byte": document(IDENTITY_2).encode().replace(b"0.0]", b"0.0\xff]", 1),
+    # the reader scans bytes as latin-1 and decodes a non-ASCII value again as UTF-8
+    "0xFF in a metadata string": document(IDENTITY_2, ', "metadata": {"note": "\xff"}')
+    .encode("latin-1"),
+    "0xFF in a metadata key": document(IDENTITY_2, ', "metadata": {"\xff": "note"}')
+    .encode("latin-1"),
+    "0xFF in a key": document(IDENTITY_2, ', "metadata": {}, "\xff": 1').encode("latin-1"),
     "nested four deep": document("[" + IDENTITY_2 + "]"),
     "nested two deep": document("[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]"),
     "five pairs": document(IDENTITY_2.replace("]]]", "], [0.0, 0.0]]]")),
@@ -304,6 +310,13 @@ class TestMeasurementFiles:
             cli.load_measurement(path)
         assert sum(reads) < 1024
 
+    def test_error_after_multibyte_text_names_the_byte(self, tmp_path):
+        # after three two-byte characters, character 25 of the text is byte 28
+        path = tmp_path / "m.json"
+        path.write_text('{"metadata": {"\u00e9\u00e9": "\u00e9"} "d": 2}', encoding="utf-8")
+        with pytest.raises(cli.FileFormatError, match="expected '}' at byte 28$"):
+            cli.load_measurement(path)
+
     def test_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -462,6 +475,8 @@ class TestChunkBoundaries:
         TestMeasurementFiles.test_number_spellings_json_forbids_are_read)
     test_huge_n_refused_before_d_to_the_n = (
         TestMeasurementFiles.test_huge_n_refused_before_d_to_the_n)
+    test_error_after_multibyte_text_names_the_byte = (
+        TestMeasurementFiles.test_error_after_multibyte_text_names_the_byte)
 
 
 class TestReports:

@@ -66,6 +66,16 @@ class TestPauliMatrix:
         for lbl in oracles.all_labels(d, n):
             np.testing.assert_array_equal(pauli.pauli_matrix(lbl), oracles.pauli_matrix_kron(lbl))
 
+class TestLabels:
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 1)])
+    def test_index_round_trips(self, d, n):
+        # fixtures write label digits into metadata, so they are Python ints
+        for idx in range(d ** (2 * n)):
+            label = pauli.label_from_index(idx, d, n)
+            assert oracles.label_index(label) == idx
+            assert all(type(c) is int for c in label.x + label.z)
+
+
 class TestProductPhase:
     def test_identity_factor(self):
         eye = pauli.PauliLabel((0, 0), (0, 0))

@@ -25,10 +25,36 @@ def loop_permutation_residual(basis) -> float:
         expected = np.zeros((basis.D, basis.D))
         for shape in basis.shapes:
             _, w, _ = basis.blocks[shape]
-            sl = basis.block_slice(shape)
+            sl = oracles.block_slice(basis, shape)
             expected[sl, sl] = np.kron(np.eye(w), oracles.schur_rep_matrix(basis, p, shape))
         worst = max(worst, float(np.linalg.norm(got - expected)))
     return worst
+
+
+def dense_generator_residual(basis) -> float:
+    """Largest |U P_s U^dag - (+)_lambda I_w (x) rho_lambda(s)|_F over the adjacent
+    transpositions s, each U P_s U^dag a dense D x D product: the generator check
+    that the gathered residual of ``verify_schur_basis`` replaced, kept here as its
+    oracle."""
+    U = basis.U
+    worst = 0.0
+    for j in range(basis.n - 1):
+        s = schur._adjacent_transposition(j, basis.n)
+        got = U[:, schur._perm_row_map(s, basis.d)] @ U.conj().T
+        expected = np.zeros((basis.D, basis.D))
+        for shape in basis.shapes:
+            _, w, _ = basis.blocks[shape]
+            sl = oracles.block_slice(basis, shape)
+            expected[sl, sl] = np.kron(np.eye(w), oracles.schur_rep_matrix(basis, s, shape))
+        worst = max(worst, float(np.linalg.norm(got - expected)))
+    return worst
+
+
+def generator_bound(basis) -> float:
+    """r = g (1 + eta) + eta, the bound ``verify_schur_basis`` derives on every
+    generator residual from the gathered one."""
+    eta = basis.residuals["unitarity"]
+    return schur._gathered_residual(basis) * (1.0 + eta) + eta
 
 
 def sampled_collective_residual(basis) -> float:
@@ -49,7 +75,7 @@ def sampled_collective_residual(basis) -> float:
         approx = np.zeros_like(got)
         for shape in basis.shapes:
             _, w, v = basis.blocks[shape]
-            sl = basis.block_slice(shape)
+            sl = oracles.block_slice(basis, shape)
             collective = np.einsum("abcb->ac", got[sl, sl].reshape(w, v, w, v)) / v
             approx[sl, sl] = np.kron(collective, np.eye(v))
         worst = max(worst, float(np.linalg.norm(got - approx)))
@@ -182,11 +208,11 @@ class TestSchurTransform:
     def test_triplet_singlet(self, basis22):
         # the symmetric block must span {|00>, |11>, (|01>+|10>)/sqrt(2)}
         U = basis22.U
-        sym_slice = basis22.block_slice((2,))
+        sym_slice = oracles.block_slice(basis22, (2,))
         singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
         coeffs = U @ singlet
         assert np.linalg.norm(coeffs[sym_slice]) == pytest.approx(0.0, abs=1e-10)
-        anti_slice = basis22.block_slice((1, 1))
+        anti_slice = oracles.block_slice(basis22, (1, 1))
         assert np.linalg.norm(coeffs[anti_slice]) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_audit_2_3(self, basis23):
@@ -385,6 +411,18 @@ class TestIsotypicProjectors:
         for a, b in zip(got, want.operators):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d,n", [(2, 10), (4, 5), (3, 6)])
+    def test_matches_the_global_eigh(self, d, n):
+        # one eigh per digit multiset's span gives what one eigh of all of Z gave,
+        # with at least as many exact zeros as its mask between spans left
+        got = schur.isotypic_projectors(d, n).operators
+        want = oracles.isotypic_projectors_global_eigh(d, n).operators
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        zeros = [sum(np.count_nonzero(op == 0) for op in ops) for ops in (got, want)]
+        assert zeros[0] >= zeros[1]
+
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
     def test_no_entries_between_digit_multisets(self, d, n):
         # permutations keep the span of each digit multiset, so entries between
@@ -468,6 +506,13 @@ class TestGeneratorCheck:
         U = basis.U @ (vectors * np.exp(1j * eps * values)) @ vectors.conj().T
         perturbed = schur.SchurBasis.from_unitary(d, n, U)
         assert perturbed.residuals["collective_blocks"] >= sampled_collective_residual(perturbed)
+        assert generator_bound(perturbed) >= dense_generator_residual(perturbed)
+
+    @pytest.mark.parametrize("d,n", YOUNG_SIZES)
+    def test_gathered_bound_covers_the_dense_residual(self, d, n):
+        # bases from the Young matrix-unit build, off by rounding alone
+        basis = oracles.build_schur_transform_young(d, n)
+        assert generator_bound(basis) >= dense_generator_residual(basis)
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4)])
     def test_collective_rotation_accepted(self, d, n):
