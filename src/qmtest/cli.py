@@ -187,18 +187,20 @@ class _Window:
                 value, at = _SCAN(self.text, self.i)
             except StopIteration as stop:  # no value starts at stop.value
                 at, error = stop.value, ValueError(f"expected a value at byte {self.offset()}")
-            except ValueError as exc:
-                error = exc
-                # an unterminated string runs to the text's end, and int()'s digit
-                # limit names no position
-                at = (exc.pos if isinstance(exc, json.JSONDecodeError)
-                      and not exc.msg.startswith("Unterminated string") else len(self.text))
+            except json.JSONDecodeError as exc:  # an unterminated string runs to the text's end
+                at = len(self.text) if exc.msg.startswith("Unterminated string") else exc.pos
+                error = ValueError(f"{exc.msg.removesuffix(' at')} at byte {self.start + exc.pos}")
+            except ValueError as exc:  # int()'s digit limit names no position
+                at, error = len(self.text), exc
             if self.cut(at) and self.more():
                 continue
             if error:
                 raise error
-            raw, self.i = self.text[self.i:at], at
-            return value if raw.isascii() else json.loads(raw.encode("latin-1").decode())
+            raw, self.i = self.text[self.i:at].encode("latin-1"), at  # the value's bytes
+            try:
+                return value if raw.isascii() else json.loads(raw.decode())
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"invalid UTF-8 at byte {self.offset() - len(raw) + exc.start}")
 
     def key(self) -> str:
         """An object key and its colon."""

@@ -63,8 +63,7 @@ def partitions(n: int, d: int) -> list[Partition]:
         for part in range(min(cap, remaining), 0, -1):
             grow(prefix + (part,), remaining - part, part)
 
-    grow((), n, n)
-    out.sort(reverse=True)
+    grow((), n, n)  # largest part first, so the order is already decreasing
     return out
 
 
@@ -116,11 +115,9 @@ def _perm_row_map(perm: tuple[int, ...], d: int) -> np.ndarray:
     return np.arange(d**n).reshape((d,) * n).transpose(perm).reshape(-1)
 
 
-def _adjacent_transposition(j: int, n: int) -> tuple[int, ...]:
-    """The permutation s_j of n sites that swaps sites j and j + 1."""
-    perm = list(range(n))
-    perm[j], perm[j + 1] = j + 1, j
-    return tuple(perm)
+def _transposition(j: int, k: int, n: int) -> tuple[int, ...]:
+    """The permutation (j k) of n sites, which swaps sites j and k."""
+    return tuple(k if s == j else j if s == k else s for s in range(n))
 
 
 def twirl(A, d: int, n: int) -> np.ndarray:
@@ -294,7 +291,7 @@ def build_schur_transform(d: int, n: int) -> SchurBasis:
             # off the diagonal, gens[i] couples T only to T' = s_i T
             i, earlier = next((i, e) for i, g in enumerate(gens) for e in np.flatnonzero(g[b, :b]))
             g, prev = gens[i], columns[earlier]
-            swapped = prev[_perm_row_map(_adjacent_transposition(i, n), d)]  # P_{s_i} |T'>
+            swapped = prev[_perm_row_map(_transposition(i, i + 1, n), d)]  # P_{s_i} |T'>
             columns.append((swapped - g[earlier, earlier] * prev) / g[b, earlier])
         # row offset + a*v + b is the bra of column a of columns[b]
         U[offset : offset + w * v] = np.stack(columns).transpose(2, 0, 1).reshape(w * v, D).conj()
@@ -332,7 +329,7 @@ def _gathered_residual(basis: SchurBasis) -> float:
         offset, w, v = basis.blocks[shape]
         block = basis.U[offset : offset + w * v]
         for j, g in enumerate(_yor_generators(shape)):
-            rows = _perm_row_map(_adjacent_transposition(j, basis.n), basis.d)
+            rows = _perm_row_map(_transposition(j, j + 1, basis.n), basis.d)
             mixed = (g @ block.reshape(w, v, basis.D)).reshape(w * v, basis.D)
             squares[j] += np.linalg.norm(block[:, rows] - mixed) ** 2
     return math.sqrt(squares.max(initial=0.0))
@@ -424,24 +421,21 @@ def _jucys_murphy_blocks(d: int, n: int) -> tuple[list, list[np.ndarray]]:
     fixing both sums as 0 <= sum c^2 <= n^3; content sums alone collide:
     (4, 1, 1) and (3, 3) both give 3.  A site permutation keeps each basis
     vector's digit multiset, so Z has no entries between two multisets' spans,
-    the weight spaces; one ``eigh`` per span leaves every eigenvector on its
-    span, with exact zeros elsewhere.  A block whose eigenspace of Z has the
-    wrong rank raises VerificationFailure.
+    the weight spaces, and is built per span from the m x m matrices of the
+    transpositions on its m indices; one ``eigh`` per span leaves each eigenvector
+    on its span, with exact zeros elsewhere.  A wrong rank raises VerificationFailure.
     """
     D = checked_dimension(d, n)
-    eye, Z = np.eye(D), np.zeros((D, D))
-    gathers = []
-    for k in range(1, n):
-        rows = [_perm_row_map(tuple({j: k, k: j}.get(s, s) for s in range(n)), d)
-                for j in range(k)]
-        gathers.append(rows)
-        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)
-        Z += sum(X[r] for r in rows)  # (n^3 + 1) X_k + X_k^2
+    gathers = [[_perm_row_map(_transposition(j, k, n), d) for j in range(k)] for k in range(1, n)]
     keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, D), axis=0)
     values, vectors = np.zeros(D), np.zeros((D, D))
     for key in np.unique(keys):
         span = np.flatnonzero(keys == key)
-        values[span], vectors[np.ix_(span, span)] = np.linalg.eigh(Z[np.ix_(span, span)])
+        Z = np.zeros((len(span), len(span)))
+        for rows in gathers:
+            X = sum(np.equal.outer(r[span], span) for r in rows).astype(float)  # X_k on the span
+            Z += (n**3 + 1) * X + X @ X
+        values[span], vectors[np.ix_(span, span)] = np.linalg.eigh(Z)
     spaces = []
     for shape in partitions(n, d):
         c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])

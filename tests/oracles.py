@@ -547,23 +547,54 @@ def isotypic_projectors_from_basis(basis: schur.SchurBasis) -> Measurement:
     return validate_measurement([V.conj().T @ V for V in blocks])
 
 
+def _digit_multiset_keys(d: int, n: int) -> np.ndarray:
+    """One key per basis index, equal for two indices with the same digit multiset."""
+    return d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, d**n), axis=0)
+
+
+def _jucys_murphy_dense(d: int, n: int) -> tuple[list, np.ndarray]:
+    """The row gathers of ``schur._jucys_murphy_blocks`` and its element
+    Z = (n^3 + 1) sum_k X_k + sum_k X_k^2, from a dense identity and a dense
+    D x D X_k per k."""
+    D = d**n
+    eye, Z = np.eye(D), np.zeros((D, D))
+    gathers = []
+    for k in range(1, n):
+        rows = [schur._perm_row_map(schur._transposition(j, k, n), d) for j in range(k)]
+        gathers.append(rows)
+        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)
+        Z += sum(X[r] for r in rows)  # (n^3 + 1) X_k + X_k^2
+    return gathers, Z
+
+
+def _block_columns(values: np.ndarray, shape, n: int) -> np.ndarray:
+    """Which eigenvalues of Z belong to block ``shape``."""
+    c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])
+    return np.abs(values - (n**3 + 1) * c.sum() - c @ c) < 0.5
+
+
+def jucys_murphy_blocks_dense(d: int, n: int) -> tuple[list, list[np.ndarray]]:
+    """``schur._jucys_murphy_blocks`` with one ``eigh`` per digit multiset's span
+    cut from the dense D x D Z: the build that forms Z per span replaced."""
+    gathers, Z = _jucys_murphy_dense(d, n)
+    keys = _digit_multiset_keys(d, n)
+    values, vectors = np.zeros(d**n), np.zeros_like(Z)
+    for key in np.unique(keys):
+        span = np.flatnonzero(keys == key)
+        values[span], vectors[np.ix_(span, span)] = np.linalg.eigh(Z[np.ix_(span, span)])
+    return gathers, [vectors[:, _block_columns(values, shape, n)]
+                     for shape in schur.partitions(n, d)]
+
+
 def isotypic_projectors_global_eigh(d: int, n: int) -> Measurement:
     """The isotypic projectors from one ``eigh`` of the whole D x D element Z of
     ``schur._jucys_murphy_blocks``, with the rounding it leaves between two digit
     multisets' spans masked to 0: the build the per-span ``eigh`` replaced."""
-    D = d**n
-    eye, Z = np.eye(D), np.zeros((D, D))
-    for k in range(1, n):
-        rows = [schur._perm_row_map(tuple({j: k, k: j}.get(s, s) for s in range(n)), d)
-                for j in range(k)]
-        X = (n**3 + 1) * eye + sum(eye[r] for r in rows)
-        Z += sum(X[r] for r in rows)
-    values, vectors = np.linalg.eigh(Z)
-    keys = d ** np.arange(n) @ np.sort(np.indices((d,) * n).reshape(n, D), axis=0)
+    values, vectors = np.linalg.eigh(_jucys_murphy_dense(d, n)[1])
+    keys = _digit_multiset_keys(d, n)
     ops = []
     for shape in schur.partitions(n, d):
-        c = np.array([j - i for i, length in enumerate(shape) for j in range(length)])
-        V = vectors[:, np.abs(values - (n**3 + 1) * c.sum() - c @ c) < 0.5]
+        V = vectors[:, _block_columns(values, shape, n)]
         ops.append(np.where(keys[:, None] == keys, V @ V.T, 0.0))
     return validate_measurement(ops)
 

@@ -317,6 +317,20 @@ class TestMeasurementFiles:
         with pytest.raises(cli.FileFormatError, match="expected '}' at byte 28$"):
             cli.load_measurement(path)
 
+    @pytest.mark.parametrize("data,byte", [
+        (document(IDENTITY_2, ', "metadata": {"x": "abcd\te"}').encode(), 119),
+        (document(IDENTITY_2, ', "metadata": {"x": "abcde?"}').encode().replace(b"?", b"\xff"),
+         120),
+        (document(IDENTITY_2, ', "metadata": {"x": 01}').encode(), 115),
+    ], ids=["raw tab", "bad UTF-8 byte", "leading zero"])
+    def test_value_error_names_the_byte(self, tmp_path, data, byte):
+        # json's scanner and the UTF-8 decoder name positions in the window's
+        # text or in the value; the reader names the file's byte
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        with pytest.raises(cli.FileFormatError, match=f" at byte {byte}$"):
+            cli.load_measurement(path)
+
     def test_garbage(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -477,6 +491,7 @@ class TestChunkBoundaries:
         TestMeasurementFiles.test_huge_n_refused_before_d_to_the_n)
     test_error_after_multibyte_text_names_the_byte = (
         TestMeasurementFiles.test_error_after_multibyte_text_names_the_byte)
+    test_value_error_names_the_byte = TestMeasurementFiles.test_value_error_names_the_byte
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ def dense_generator_residual(basis) -> float:
     U = basis.U
     worst = 0.0
     for j in range(basis.n - 1):
-        s = schur._adjacent_transposition(j, basis.n)
+        s = schur._transposition(j, j + 1, basis.n)
         got = U[:, schur._perm_row_map(s, basis.d)] @ U.conj().T
         expected = np.zeros((basis.D, basis.D))
         for shape in basis.shapes:
@@ -108,6 +109,18 @@ class TestPartitions:
         parts = schur.partitions(6, 4)
         assert parts == sorted(parts, reverse=True)
         assert all(sum(p) == 6 and len(p) <= 4 for p in parts)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_partition_strictly_decreasing(self, d):
+        # the depth-first build tries the largest part first, so it needs no sort
+        for n in range(1, 13):
+            parts = schur.partitions(n, d)
+            assert all(a > b for a, b in zip(parts, parts[1:]))
+            # a decreasing input makes every tuple a partition's parts in order
+            want = {c for r in range(1, d + 1)
+                    for c in itertools.combinations_with_replacement(range(n, 0, -1), r)
+                    if sum(c) == n}
+            assert set(parts) == want
 
 
 class TestHooksAndDims:
@@ -353,7 +366,7 @@ class TestTwirl:
         np.testing.assert_allclose(schur.twirl(TA, d, n), TA, rtol=0, atol=1e-12)
         assert np.vdot(B, TA) == pytest.approx(np.vdot(TB, A), abs=1e-10)
         for j in range(n - 1):
-            P = oracles.permutation_operator(schur._adjacent_transposition(j, n), d)
+            P = oracles.permutation_operator(schur._transposition(j, j + 1, n), d)
             np.testing.assert_allclose(P @ TA, TA @ P, rtol=0, atol=1e-12)
 
     def test_dimension_checked(self):
@@ -462,6 +475,34 @@ class TestIsotypicProjectors:
             schur.isotypic_projectors(2, 11)
 
 
+class TestJucysMurphyBlocks:
+    @pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 3), (3, 2), (2, 6), (3, 5), (4, 4),
+                                     (2, 8)])
+    def test_matches_the_dense_build(self, d, n):
+        # each span's Z has exact integer entries, as its square cut from the
+        # dense Z has, so every eigh sees the same matrix
+        gathers, spaces = schur._jucys_murphy_blocks(d, n)
+        want_gathers, want_spaces = oracles.jucys_murphy_blocks_dense(d, n)
+        assert len(gathers) == len(want_gathers) == n - 1
+        for rows, want_rows in zip(gathers, want_gathers):
+            assert len(rows) == len(want_rows)
+            assert all(np.array_equal(r, w) for r, w in zip(rows, want_rows))
+        assert len(spaces) == len(want_spaces) == len(schur.partitions(n, d))
+        assert all(np.array_equal(V, W) for V, W in zip(spaces, want_spaces))
+
+    def test_memory_traced(self):
+        # Z is built per span: with a dense identity, X_k and Z the (2, 10) build
+        # peaked at 48.4 MiB; per span it is about 16.4 MiB, the 8 MiB of
+        # eigenvectors and the 8 MiB of blocks cut from them
+        tracemalloc.start()
+        try:
+            schur._jucys_murphy_blocks(2, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
+
 def _swap_rows_across_blocks(basis):
     U = basis.U.copy()
     first, last = basis.shapes[0], basis.shapes[-1]
@@ -480,7 +521,7 @@ def _rotate_permutation_index(basis, angle=1e-4):
 
 
 def _gather_by_site_transposition(basis):
-    s0 = schur._adjacent_transposition(0, basis.n)
+    s0 = schur._transposition(0, 1, basis.n)
     return basis.U @ oracles.permutation_operator(s0, basis.d)
 
 
@@ -547,7 +588,7 @@ class TestGeneratorCheck:
     def test_permutation_operator_homomorphism_on_generators(self, d, n):
         for p in itertools.permutations(range(n)):
             for j in range(n - 1):
-                s = schur._adjacent_transposition(j, n)
+                s = schur._transposition(j, j + 1, n)
                 ps = tuple(p[s[i]] for i in range(n))
                 assert np.array_equal(
                     oracles.permutation_operator(ps, d),
@@ -560,7 +601,7 @@ class TestGeneratorCheck:
         _, reps = oracles.young_representations(n, shapes)
         for p in itertools.permutations(range(n)):
             for j in range(n - 1):
-                s = schur._adjacent_transposition(j, n)
+                s = schur._transposition(j, j + 1, n)
                 ps = tuple(p[s[i]] for i in range(n))
                 for k in range(len(shapes)):
                     np.testing.assert_allclose(reps[ps][k], reps[p][k] @ reps[s][k],
