@@ -5,8 +5,8 @@ Measurement files are JSON objects with the fields ``version`` (1), ``d``,
 operators, each a list of (d**n)**2 [re, im] number pairs in row-major order.
 The reader streams a file in chunks of ``CHUNK`` bytes: json's own scanner
 parses every other field from small decoded windows, and numpy checks and
-decodes ``operators`` a chunk at a time into one read-only array, whose views
-are the loaded operators: no buffer the size of the file is held (a pipe is
+decodes ``operators`` a chunk at a time into one read-only array, which the
+loaded measurement keeps: no buffer the size of the file is held (a pipe is
 read whole), and the operators are held once.  It refuses whatever json
 refuses, and also NaN, Infinity, true, false and blank entries; it reads the
 spellings +1, .5, 1. and 01, which JSON forbids, as numbers.  A command reads
@@ -186,16 +186,16 @@ class _Window:
             try:
                 value, at = _SCAN(self.text, self.i)
             except StopIteration as stop:  # no value starts at stop.value
-                at, error = stop.value, ValueError(f"expected a value at byte {self.offset()}")
+                at, error = stop.value, f"expected a value at byte {self.offset()}"
             except json.JSONDecodeError as exc:  # an unterminated string runs to the text's end
                 at = len(self.text) if exc.msg.startswith("Unterminated string") else exc.pos
-                error = ValueError(f"{exc.msg.removesuffix(' at')} at byte {self.start + exc.pos}")
-            except ValueError as exc:  # int()'s digit limit names no position
-                at, error = len(self.text), exc
+                error = f"{exc.msg.removesuffix(' at')} at byte {self.start + exc.pos}"
+            except ValueError as exc:  # int()'s digit limit; the advice after ';' is for code
+                at, error = len(self.text), f"{str(exc).split(';')[0]} at byte {self.offset()}"
             if self.cut(at) and self.more():
                 continue
             if error:
-                raise error
+                raise ValueError(error)
             raw, self.i = self.text[self.i:at].encode("latin-1"), at  # the value's bytes
             try:
                 return value if raw.isascii() else json.loads(raw.decode())
@@ -384,9 +384,8 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
     fields from small decoded windows, and numpy parses the operators a chunk
     at a time into one (k, D, D) array, never as one Python float per entry.
     No buffer the size of the file is held, and the array is set read-only, so
-    ``validate_measurement`` keeps its views instead of copying them: the peak
-    is the operators once and a few chunks, however large the file or its
-    whitespace.
+    ``validate_measurement`` keeps it instead of copying it: the peak is the
+    operators once and a few chunks, however large the file or its whitespace.
     Two cases cost what a whole-file read does: a pipe, which cannot seek, is
     read whole first, and an ``operators`` value that a later one replaces is
     built by json's scanner to check it.
@@ -402,8 +401,8 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
             ops = _operators(file, span, k, d**n, path)
     except (OSError, ValueError, RecursionError) as exc:  # json recurses per nesting level
         raise FileFormatError(f"cannot parse {path}: {exc}") from exc
-    ops.setflags(write=False)  # so the measurement keeps views of this block
-    meas = validate_measurement(list(ops), tol)
+    ops.setflags(write=False)  # so the measurement keeps this block
+    meas = validate_measurement(ops, tol)
     return meas, d, n, fields.get("metadata", {})
 
 
@@ -626,8 +625,8 @@ def _compbasis_fixture(ns):
     D = ns.d**ns.n
     ops = np.zeros((D, D, D), dtype=complex)
     ops[np.arange(D), np.arange(D), np.arange(D)] = 1
-    ops.setflags(write=False)  # so the measurement keeps views of this block
-    meas = validate_measurement(list(ops))
+    ops.setflags(write=False)  # so the measurement keeps this block
+    meas = validate_measurement(ops)
     yield f"compbasis_d{ns.d}_n{ns.n}.json", meas, ns.d, {"kind": "compbasis"}
 
 

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for quantum measurements.
 
-Operators are plain complex numpy matrices.  A measurement is an ordered
-collection of operators whose squares sum to the identity.  Everything here is
-exact desk-scale simulation: no sparsity, no circuit decompositions.  The
+Operators are plain complex numpy matrices.  A measurement is one read-only
+(k, D, D) array of them, ordered, whose squares sum to the identity.  Everything
+here is exact desk-scale simulation: no sparsity, no circuit decompositions.  The
 outcome law p(M_i) = |M_i|_F^2/D (``Measurement.outcome_probs``), its one
 zero rule (``vanishes``) and the overlap law (``unit_overlap``) live here.
 """
@@ -66,19 +66,19 @@ def unit_overlap(A, B) -> complex:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Ordered operators M_1..M_k with sum_i M_i^dag M_i = I.
+    """Ordered operators M_1..M_k with sum_i M_i^dag M_i = I, as one (k, D, D) array.
 
-    Outcome indices are 0-based in code.  Operators beyond the stored list are
+    Outcome indices are 0-based in code.  Operators beyond the stored ones are
     implicitly zero, which is how measurements with different outcome counts
     are compared.
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     completeness_residual: float
     dim: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", self.operators[0].shape[0])
+        object.__setattr__(self, "dim", self.operators.shape[1])
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -94,38 +94,32 @@ class Measurement:
         return np.array([choi_prob(op) for op in self.operators])
 
 
-def _frozen(A: np.ndarray) -> np.ndarray:
-    """A itself when nobody can write it, else a read-only copy of A."""
-    owner = A if A.base is None else A.base
-    if A.flags.writeable or not (isinstance(owner, np.ndarray) and owner.base is None
-                                 and not owner.flags.writeable):
-        A = A.copy()
-        A.setflags(write=False)
-    return A
-
-
 def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurement:
-    """Check the completeness equation and freeze the operator list.
-
-    An operator that nobody can write is kept: it is read-only, and its memory
-    is owned by a read-only array, itself or ``op.base`` (a view of the
-    loader's read-only block, say).  Any other operator is copied and frozen.
+    """Check the completeness equation and hold the operators as one read-only
+    (k, D, D) complex128 block: such a block that owns its memory (``base is None``)
+    is kept, and anything else is copied once.  The finite check and the Gram sum
+    run one operator at a time, so their temporaries stay D x D.
     """
-    if not ops:
+    if len(ops) == 0:
         raise ValueError("measurement needs at least one operator")
-    mats = [as_operator(op) for op in ops]
-    dim = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != dim:
+    if not (isinstance(ops, np.ndarray) and ops.dtype == np.complex128
+            and ops.base is None and not ops.flags.writeable):
+        if len({np.shape(op) for op in ops}) > 1:  # before numpy's plain ragged-array error
             raise DimensionMismatch("measurement operators have mixed dimensions")
+        ops = np.array(ops, dtype=np.complex128)
+        ops.setflags(write=False)
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {ops.shape[1:]}")
+    if not all(np.isfinite(m).all() for m in ops):
+        raise ValueError("operator contains NaN or Inf entries")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a NaN residual
-        gram = sum(m.conj().T @ m for m in mats)
-        residual = float(np.linalg.norm(gram - np.eye(dim)))
+        gram = sum(m.conj().T @ m for m in ops)
+        residual = float(np.linalg.norm(gram - np.eye(ops.shape[1])))
     if not residual <= tol:  # a NaN residual, from overflowing entries, fails too
         raise CompletenessViolation(
             f"sum_i M_i^dag M_i deviates from I by {residual:.3e} (tol {tol:.1e})"
         )
-    return Measurement(operators=tuple(map(_frozen, mats)), completeness_residual=residual)
+    return Measurement(operators=ops, completeness_residual=residual)
 
 
 def choi_prob(A) -> float:

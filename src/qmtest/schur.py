@@ -450,7 +450,13 @@ def _jucys_murphy_blocks(d: int, n: int) -> tuple[list, list[np.ndarray]]:
 def isotypic_projectors(d: int, n: int) -> Measurement:
     """Projective measurement onto the partition blocks, in partitions() order,
     for d, n >= 1 with d^n <= MAX_DIM: V V^T over each block's eigenvectors V
-    from ``_jucys_murphy_blocks``, so n has no cap.  Each eigenvector lies on
+    from ``_jucys_murphy_blocks``, so n has no cap, written into the real parts
+    of one read-only block that the measurement keeps.  Each eigenvector lies on
     one digit multiset's span, so entries between two spans are exact zeros.
     """
-    return validate_measurement([V @ V.T for V in _jucys_murphy_blocks(d, n)[1]])
+    spaces = _jucys_murphy_blocks(d, n)[1]
+    ops = np.zeros((len(spaces), d**n, d**n), dtype=complex)
+    for op, V in zip(ops, spaces):
+        op.real = V @ V.T
+    ops.setflags(write=False)
+    return validate_measurement(ops)

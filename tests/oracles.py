@@ -130,10 +130,10 @@ def canonical_phase_align(M: Measurement, N: Measurement) -> Measurement:
     aligned = []
     for i, op in enumerate(N.operators):
         ip = hs_inner(M.operator(i), op)
-        op = op.copy() if abs(ip) < 1e-14 else op * np.exp(-1j * np.angle(ip))
-        op.setflags(write=False)
-        aligned.append(op)
-    return Measurement(operators=tuple(aligned), completeness_residual=N.completeness_residual)
+        aligned.append(op if abs(ip) < 1e-14 else op * np.exp(-1j * np.angle(ip)))
+    aligned = np.stack(aligned)
+    aligned.setflags(write=False)
+    return Measurement(operators=aligned, completeness_residual=N.completeness_residual)
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2

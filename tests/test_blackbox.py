@@ -62,7 +62,7 @@ class TestSwapTest:
         # the overlap is undefined for a vanishing operator, and two boxes
         # queried side by side must share one sampling mode
         m = comp_basis_measurement(2)
-        padded = core.Measurement(operators=m.operators + (np.zeros((2, 2)),),
+        padded = core.Measurement(operators=np.concatenate([m.operators, np.zeros((1, 2, 2))]),
                                   completeness_residual=m.completeness_residual)
         box = blackbox.BlackBox(padded, seed=0)
         with pytest.raises(core.ZeroOperator):
@@ -360,7 +360,7 @@ class TestHiddenOverlap:
     def test_zero_operator(self):
         m = comp_basis_measurement(2)
         padded = core.Measurement(
-            operators=m.operators + (np.zeros((2, 2)),),
+            operators=np.concatenate([m.operators, np.zeros((1, 2, 2))]),
             completeness_residual=m.completeness_residual,
         )
         a = blackbox.BlackBox(padded, seed=0)

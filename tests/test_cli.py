@@ -180,7 +180,7 @@ def measurement_documents(draw):
 
 def unchecked_measurement(ops) -> core.Measurement:
     """The operators as a Measurement, with no completeness check."""
-    return core.Measurement(tuple(core.as_operator(op) for op in ops), math.nan)
+    return core.Measurement(np.stack([core.as_operator(op) for op in ops]), math.nan)
 
 
 # prints how far a fresh interpreter's peak RSS, in KiB, rises across one load; it
@@ -322,7 +322,9 @@ class TestMeasurementFiles:
         (document(IDENTITY_2, ', "metadata": {"x": "abcde?"}').encode().replace(b"?", b"\xff"),
          120),
         (document(IDENTITY_2, ', "metadata": {"x": 01}').encode(), 115),
-    ], ids=["raw tab", "bad UTF-8 byte", "leading zero"])
+        (('{"d": 2, "metadata": {"x": ' + "1" * 5000 + '}, "version": 1, "n": 1, '
+          '"operators": ' + IDENTITY_2 + "}").encode(), 21),  # the metadata value's byte
+    ], ids=["raw tab", "bad UTF-8 byte", "leading zero", "past the digit limit"])
     def test_value_error_names_the_byte(self, tmp_path, data, byte):
         # json's scanner and the UTF-8 decoder name positions in the window's
         # text or in the value; the reader names the file's byte

@@ -61,30 +61,57 @@ class TestValidateMeasurement:
             m.operators[0][0, 0] = 5.0
 
     def test_operator_nobody_can_write_is_kept(self):
+        # a read-only complex128 block that owns its memory is kept as it is
+        block = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        block.setflags(write=False)
+        m = core.validate_measurement(block)
+        assert m.operators is block
+
+    def test_list_of_read_only_operators_is_copied_once(self):
+        # a list, even of read-only owners or of views of a read-only block,
+        # is stacked into one new read-only block
         owner = np.eye(2, dtype=complex)
         owner.setflags(write=False)
         block = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
         block.setflags(write=False)
-        m = core.validate_measurement([owner])
-        assert np.shares_memory(m.operators[0], owner)
-        m = core.validate_measurement(list(block))
-        assert all(np.shares_memory(op, block) for op in m.operators)
-        assert not any(op.flags.writeable for op in m.operators)
+        for ops, source in (([owner], owner), (list(block), block)):
+            m = core.validate_measurement(ops)
+            assert m.operators.shape == (len(ops), 2, 2) and m.operators.base is None
+            assert not m.operators.flags.writeable
+            assert not np.shares_memory(m.operators, source)
+            np.testing.assert_array_equal(m.operators, source.reshape(m.operators.shape))
 
-    @pytest.mark.parametrize("kind", ["writeable", "read-only view", "frombuffer"])
+    @pytest.mark.parametrize("kind", ["writeable", "read-only view", "frombuffer", "writeable block",
+                                      "read-only view of a block", "frombuffer block",
+                                      "float block"])
     def test_operator_someone_can_write_is_copied(self, kind):
         source = np.eye(2, dtype=complex)
+        block = np.stack([source])  # a writeable (1, 2, 2) owner
         buffer = bytearray(source.tobytes())
         op = {"writeable": lambda: source,
               "read-only view": lambda: source[:, :],
-              "frombuffer": lambda: np.frombuffer(buffer, dtype=complex).reshape(2, 2)}[kind]()
-        op.setflags(write=kind == "writeable")
-        m = core.validate_measurement([op])
-        assert not m.operators[0].flags.writeable
-        source[0, 0] = 5.0
+              "frombuffer": lambda: np.frombuffer(buffer, dtype=complex).reshape(2, 2),
+              "writeable block": lambda: block,
+              "read-only view of a block": lambda: block[:],
+              "frombuffer block": lambda: np.frombuffer(buffer, dtype=complex).reshape(1, 2, 2),
+              "float block": lambda: block.real}[kind]()
+        op.setflags(write=kind.startswith("writeable"))
+        m = core.validate_measurement(op if op.ndim == 3 else [op])
+        assert not m.operators[0].flags.writeable and m.operators.base is None
+        source[0, 0] = block[0, 0, 0] = 5.0
         buffer[:8] = np.float64(5.0).tobytes()
-        assert op[0, 0] == 5.0  # the source changed, and the measurement did not
+        assert op.flat[0] == 5.0  # the source changed, and the measurement did not
         np.testing.assert_array_equal(m.operators[0], np.eye(2))
+
+    def test_list_and_its_block_give_the_same_bytes(self, rng):
+        ops = list(oracles.random_measurement(8, 4, rng).operators)
+        block = np.stack(ops)
+        block.setflags(write=False)
+        from_list, from_block = core.validate_measurement(ops), core.validate_measurement(block)
+        assert from_block.operators is block
+        assert from_list.operators.tobytes() == block.tobytes()
+        assert (np.float64(from_list.completeness_residual).tobytes()
+                == np.float64(from_block.completeness_residual).tobytes())
 
 
 class TestApplyMeasurement:
@@ -212,7 +239,7 @@ class TestPhaseAlign:
     def test_pure_phase_removed(self, rng):
         M = oracles.random_measurement(4, 2, rng)
         shifted = core.Measurement(
-            operators=tuple(np.exp(1j * math.pi / 3) * op for op in M.operators),
+            operators=np.exp(1j * math.pi / 3) * M.operators,
             completeness_residual=M.completeness_residual,
         )
         aligned = oracles.canonical_phase_align(M, shifted)

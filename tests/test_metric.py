@@ -73,7 +73,7 @@ class TestDeltaMeasurement:
     def test_zero_padding(self, rng):
         M = oracles.random_measurement(4, 2, rng)
         padded = core.Measurement(
-            operators=M.operators + (np.zeros((4, 4)),),
+            operators=np.concatenate([M.operators, np.zeros((1, 4, 4))]),
             completeness_residual=M.completeness_residual,
         )
         N = oracles.random_measurement(4, 2, rng)
@@ -108,13 +108,13 @@ class TestDeltaMeasurementNumeric:
     def test_matches_phase_scan(self, rng):
         # the direct norm at the minimizing phase against the oracle's scan,
         # with unequal outcome counts and a zero operator among the pairs
-        zero = np.zeros((4, 4))
+        zero = np.zeros((1, 4, 4))
         cases = [(oracles.random_measurement(D, k, rng), oracles.random_measurement(D, m, rng))
                  for D in (2, 4, 8, 16) for k, m in ((2, 2), (3, 1), (1, 4))]
         M = oracles.random_measurement(4, 2, rng)
-        cases.append((M, core.Measurement(operators=M.operators + (zero,),
+        cases.append((M, core.Measurement(operators=np.concatenate([M.operators, zero]),
                                           completeness_residual=M.completeness_residual)))
-        cases.append((core.Measurement(operators=(zero,) + M.operators,
+        cases.append((core.Measurement(operators=np.concatenate([zero, M.operators]),
                                        completeness_residual=M.completeness_residual), M))
         for M, N in cases:
             numeric = metric.delta_measurement_numeric(M, N)
@@ -124,7 +124,7 @@ class TestDeltaMeasurementNumeric:
 
     def test_needs_no_completeness(self):
         # the closed form assumes completeness; the direct norm does not
-        M = core.Measurement(operators=(2 * np.eye(2),), completeness_residual=3.0)
+        M = core.Measurement(operators=np.stack([2 * np.eye(2)]), completeness_residual=3.0)
         N = core.validate_measurement([np.eye(2)])
         # |2I - I|_F^2 / (2D) = 2/4, while 1 - |<2I, I>|/D = -1 clips to 0
         assert metric.delta_measurement_numeric(M, N).delta_squared == pytest.approx(0.5)
@@ -163,7 +163,7 @@ class TestMetricAxioms:
         M = oracles.random_measurement(4, 3, rng)
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=3))
         N = core.Measurement(
-            operators=tuple(p * op for p, op in zip(phases, M.operators)),
+            operators=np.stack([p * op for p, op in zip(phases, M.operators)]),
             completeness_residual=M.completeness_residual,
         )
         assert metric.delta_measurement(M, N).delta <= 1e-7

@@ -436,6 +436,20 @@ class TestIsotypicProjectors:
         zeros = [sum(np.count_nonzero(op == 0) for op in ops) for ops in (got, want)]
         assert zeros[0] >= zeros[1]
 
+    def test_memory_traced(self):
+        # the projectors are written into one read-only block that the measurement
+        # keeps: 96 MiB at (2, 10), plus four D x D complex arrays for one V V^T and
+        # the Gram sum.  Held as a float list, complex copies and read-only copies
+        # of those, they peaked at 256 MiB
+        tracemalloc.start()
+        try:
+            ops = schur.isotypic_projectors(2, 10).operators
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ops.nbytes + 4 * 16 * 2**20
+        assert ops.base is None and not ops.flags.writeable
+
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
     def test_no_entries_between_digit_multisets(self, d, n):
         # permutations keep the span of each digit multiset, so entries between
