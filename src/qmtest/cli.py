@@ -71,6 +71,7 @@ CHUNK = 1 << 18  # bytes of a measurement file read at a time
 _SCAN = json.JSONDecoder().scan_once
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _TOKEN_TAIL = re.compile(r"[\w.+\-\\]*")  # what may go on in a later read
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?', re.ASCII)
 _WHITESPACE_RUN = re.compile(rb"[ \t\n\r]+")
 _TRIPLE_CLOSE = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\]")
 _WHITESPACE_BYTES = b" \t\n\r"
@@ -191,7 +192,8 @@ class _Window:
                 at = len(self.text) if exc.msg.startswith("Unterminated string") else exc.pos
                 error = f"{exc.msg.removesuffix(' at')} at byte {self.start + exc.pos}"
             except ValueError as exc:  # int()'s digit limit; the advice after ';' is for code
-                at, error = len(self.text), f"{str(exc).split(';')[0]} at byte {self.offset()}"
+                at = len(self.text)
+                error = f"{str(exc).split(';')[0]} at byte {self.long_integer()}"
             if self.cut(at) and self.more():
                 continue
             if error:
@@ -201,6 +203,16 @@ class _Window:
                 return value if raw.isascii() else json.loads(raw.decode())
             except UnicodeDecodeError as exc:
                 raise ValueError(f"invalid UTF-8 at byte {self.offset() - len(raw) + exc.start}")
+
+    def long_integer(self) -> int:
+        """The byte offset of the digits of the first integer from the position
+        on, outside strings, that has more digits than int() reads."""
+        limit = sys.get_int_max_str_digits()
+        for token in _STRING_OR_NUMBER.finditer(self.text, self.i):
+            digits = token.group().lstrip("-")
+            if digits.isdigit() and len(digits) > limit:
+                return self.start + token.end() - len(digits)
+        return self.offset()
 
     def key(self) -> str:
         """An object key and its colon."""
@@ -385,7 +397,10 @@ def load_measurement(path, tol: float = DEFAULT_COMPLETENESS_TOL):
     at a time into one (k, D, D) array, never as one Python float per entry.
     No buffer the size of the file is held, and the array is set read-only, so
     ``validate_measurement`` keeps it instead of copying it: the peak is the
-    operators once and a few chunks, however large the file or its whitespace.
+    operators once and a few chunks, however large the file or its whitespace,
+    or the operators and what the completeness check holds beside them (the
+    D x D boolean nonzero pattern, the blocks of it that it gathers, and a few
+    rows of the Gram matrix) if that is more.
     Two cases cost what a whole-file read does: a pipe, which cannot seek, is
     read whole first, and an ``operators`` value that a later one replaces is
     built by json's scanner to check it.

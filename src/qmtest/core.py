@@ -2,18 +2,22 @@
 
 Operators are plain complex numpy matrices.  A measurement is one read-only
 (k, D, D) array of them, ordered, whose squares sum to the identity.  Everything
-here is exact desk-scale simulation: no sparsity, no circuit decompositions.  The
+here is exact desk-scale simulation with dense operators and no circuit
+decompositions; the one use of sparsity is the completeness check, which sums
+the Gram matrix over the blocks of the operators' common nonzero pattern.  The
 outcome law p(M_i) = |M_i|_F^2/D (``Measurement.outcome_probs``), its one
 zero rule (``vanishes``) and the overlap law (``unit_overlap``) live here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_COMPLETENESS_TOL = 1e-8
+GRAM_ROWS = 64  # rows of the Gram matrix that the completeness check forms at a time
 
 
 class QmtestError(Exception):
@@ -97,8 +101,10 @@ class Measurement:
 def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurement:
     """Check the completeness equation and hold the operators as one read-only
     (k, D, D) complex128 block: such a block that owns its memory (``base is None``)
-    is kept, and anything else is copied once.  The finite check and the Gram sum
-    run one operator at a time, so their temporaries stay D x D.
+    is kept, and anything else is copied once.  The finite check runs one
+    operator at a time, and the completeness check forms no D x D complex
+    array: its temporaries are the boolean nonzero pattern, the gathered
+    blocks of that pattern and ``GRAM_ROWS`` rows of the Gram matrix.
     """
     if len(ops) == 0:
         raise ValueError("measurement needs at least one operator")
@@ -112,14 +118,81 @@ def validate_measurement(ops, tol: float = DEFAULT_COMPLETENESS_TOL) -> Measurem
         raise DimensionMismatch(f"expected square matrices, got shape {ops.shape[1:]}")
     if not all(np.isfinite(m).all() for m in ops):
         raise ValueError("operator contains NaN or Inf entries")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a NaN residual
-        gram = sum(m.conj().T @ m for m in ops)
-        residual = float(np.linalg.norm(gram - np.eye(ops.shape[1])))
+    residual = _completeness_residual(ops)
     if not residual <= tol:  # a NaN residual, from overflowing entries, fails too
         raise CompletenessViolation(
             f"sum_i M_i^dag M_i deviates from I by {residual:.3e} (tol {tol:.1e})"
         )
     return Measurement(operators=ops, completeness_residual=residual)
+
+
+def _completeness_residual(ops: np.ndarray) -> float:
+    """|G - I|_F for the Gram matrix G = sum_i M_i^dag M_i of a (k, D, D) block.
+
+    G[j, l] sums products M_i[r, j]^* M_i[r, l], so it vanishes unless j and l
+    lie in one connected component of the symmetric nonzero pattern of the
+    operators, and each component's part of G comes from the operators'
+    entries inside it.  So |G - I|_F^2 is a sum over components: the
+    singletons j, where G_jj = sum_i |M_i[j, j]|^2, in one vectorized step,
+    and each other component by ``_gram_deviation`` on its gathered entries
+    (on the operators themselves when it covers all of D).  Overflowing
+    entries give an Inf or NaN residual.
+    """
+    singles, blocks = _pattern_components(ops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = ops[:, singles, singles]
+        gram = (diagonal.real**2 + diagonal.imag**2).sum(axis=0)
+        total = float(((gram - 1) ** 2).sum())
+        for block in blocks:
+            part = ops if block.size == ops.shape[1] else ops[:, block[:, None], block]
+            total += _gram_deviation(part)
+    return math.sqrt(total)
+
+
+def _pattern_components(ops: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The indices with no nonzero entry off the diagonal in their row or
+    column of any operator, and the other connected components of the
+    symmetric nonzero pattern, each as sorted indices."""
+    pattern = ops[0] != 0
+    for m in ops[1:]:
+        pattern |= m != 0
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, False)
+    single = ~pattern.any(axis=1)
+    seen = single.copy()
+    blocks = []
+    for start in np.flatnonzero(~single):
+        if seen[start]:
+            continue
+        members = np.zeros_like(seen)
+        members[start] = True
+        frontier = members
+        while frontier.any():  # breadth-first: the neighbours not reached yet
+            frontier = pattern[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        blocks.append(np.flatnonzero(members))
+    return np.flatnonzero(single), blocks
+
+
+def _gram_deviation(ops: np.ndarray) -> float:
+    """|G - I|_F^2 for G = sum_i M_i^dag M_i, formed ``GRAM_ROWS`` rows at a time.
+
+    Rows lo:hi of G are sum_i M_i[:, lo:hi]^dag M_i, and G is Hermitian, so
+    each block needs only its columns from lo on: the square part on the
+    diagonal counts once and the rest twice.
+    """
+    total = 0.0
+    for lo in range(0, ops.shape[1], GRAM_ROWS):
+        hi = min(lo + GRAM_ROWS, ops.shape[1])
+        rows = ops[0][:, lo:hi].conj().T @ ops[0][:, lo:]
+        for m in ops[1:]:
+            rows += m[:, lo:hi].conj().T @ m[:, lo:]
+        j = np.arange(hi - lo)
+        rows[j, j] -= 1
+        square = rows[:, : hi - lo]
+        total += 2 * np.vdot(rows, rows).real - np.vdot(square, square).real
+    return float(total)
 
 
 def choi_prob(A) -> float:

@@ -6,12 +6,16 @@ the Hermitian Y so that single-site operators are I, X, Z, Y.  Labels iterate
 in lexicographic (x, z) order throughout, which fixes every categorical
 sampler's category order.
 
-Every coefficient comes from one transform.  A D x D operator (D = d^n) is
-reshaped to a (d,)*2n tensor, and each site's (row, column) pair is
-contracted with the d^2 single-site operators, one ``tensordot`` per site.
-That costs O(n d^2 D^2) time and O(D^2) memory, with no per-label index or
-phase tables.  Beside it live the label laws ``q_distribution`` and
-``xi_distribution`` and the qubit sign law ``sign_plus_prob``.
+Every coefficient comes from one transform, ``mu_vector``, which writes into
+two preallocated D x D buffers (D = d^n) and leaves its result in label order,
+with no transpose and no per-label index or phase tables.  For qubits it goes
+site by site: the operator is viewed as a (2,)*2n tensor, and each site's
+(row, column) pair of axes is mapped in place to that site's (x, z) pair by
+exact sums, O(n D^2) in all.  For d >= 3 the (x, z) coefficient is a DFT of
+the entries A[x (+) b, b] over b, so one gather and two matrix products over
+halves of the digits give every coefficient, O(d^(n/2) D^2).  Beside it live
+the label laws ``q_distribution`` and ``xi_distribution`` and the qubit sign
+law ``sign_plus_prob``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .core import (
     validate_measurement,
     vanishes,
 )
+
+
+SITE_CHUNK = 1 << 14  # operator entries a qubit site step reads at a time, so they stay in cache
 
 
 class DegenerateLabel(QmtestError):
@@ -77,17 +84,66 @@ def _site_matrices(d: int) -> np.ndarray:
     return sites
 
 
-def _contract_sites(T: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
-    """Contract each site's axis pair of T with the first two axes of table.
+def _qubit_site(t: np.ndarray, o: np.ndarray):
+    """Write the (x, z) pairs of t's transform into o, for d = 2; t and o are
+    (l, a, m, b, r) views with the site's pair at axes 1 and 3.
 
-    T has shape (d,)*2n with axes (a_1..a_n, b_1..b_n); site s contracts
-    (a_s, b_s) against table[a, b, c, e] and the result has axes
-    (c_1..c_n, e_1..e_n).
+    tr(sigma^dag Q) of a 2 x 2 pair Q is a sum of two entries times 1 or -i,
+    so each output is one exact sum, as a product with the entries 0, +-1 and
+    +-i of I, Z, X and Y = iXZ would give.
     """
-    for s in range(n):
-        # site s's pair sits at axes 0 and n - s; its new pair goes last
-        T = np.tensordot(T, table, axes=([0, n - s], [0, 1]))
-    return T.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    np.add(t[:, 0, :, 0], t[:, 1, :, 1], out=o[:, 0, :, 0])  # I
+    np.subtract(t[:, 0, :, 0], t[:, 1, :, 1], out=o[:, 0, :, 1])  # Z
+    np.add(t[:, 1, :, 0], t[:, 0, :, 1], out=o[:, 1, :, 0])  # X
+    # Y: -i (Q[1, 0] - Q[0, 1]), one part at a time
+    np.subtract(t[:, 1, :, 0].imag, t[:, 0, :, 1].imag, out=o[:, 1, :, 1].real)
+    np.subtract(t[:, 0, :, 1].real, t[:, 1, :, 0].real, out=o[:, 1, :, 1].imag)
+
+
+@lru_cache(maxsize=None)
+def _digit_sums(d: int, m: int) -> np.ndarray:
+    """(d^m, d^m) table of x (+) b, the digitwise sum mod d of two m-digit indices."""
+    x = np.arange(d**m)
+    sums = np.zeros((d**m, d**m), dtype=np.intp)
+    for s in range(m):
+        place = d**s
+        sums += (x[:, None] // place + x // place) % d * place
+    sums.setflags(write=False)
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _dft(d: int, m: int) -> np.ndarray:
+    """The symmetric (d^m, d^m) matrix with [z, b] = w^{-b.z} over m digits,
+    from the site table."""
+    site = _site_matrices(d)[0].diagonal(axis1=1, axis2=2).conj()  # Z^z's diagonal, conjugated
+    out = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(m):
+        out = np.kron(out, site)
+    out.setflags(write=False)
+    return out
+
+
+def _qudit_transform(A: np.ndarray, first: np.ndarray, second: np.ndarray, d: int, n: int):
+    """D * mu of A at d >= 3, written into ``first`` (``second`` is scratch).
+
+    sigma_{x,z} has the entry w^{b.z} at row x (+) b of column b, so D mu_{x,z}
+    is sum_b w^{-b.z} A[x (+) b, b].  A gather puts A[x (+) b, b] at [x, b],
+    and two matrix products take the DFT over b's last n // 2 digits and then
+    over the others, in place of one product per site.
+    """
+    D, k = A.shape[0], n // 2
+    high, low = d ** (n - k), d**k
+    sums = _digit_sums(d, n - k)
+    lows = _digit_sums(d, k) * D + np.arange(low)  # [x_low, b_low]: flat offset of the low digits
+    gathered = first.reshape(high, low, high, low)
+    flat = A.reshape(-1)
+    for x in range(high):  # rows whose high digits are x
+        offsets = sums[x] * (low * D) + np.arange(high) * low  # [b_high]
+        np.take(flat, offsets[:, None] + lows[:, None, :], out=gathered[x])
+    np.matmul(first.reshape(D * high, low), _dft(d, k), out=second.reshape(D * high, low))
+    np.matmul(_dft(d, n - k), second.reshape(D, high, low), out=first.reshape(D, high, low))
+    return first
 
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
@@ -143,13 +199,40 @@ def _power_check(dim: int, d: int) -> int:
 
 
 def mu_vector(A, d: int, n: int) -> np.ndarray:
-    """All d^{2n} coefficients mu_l = tr(sigma_l^dag A) / d^n, in label order."""
+    """All d^{2n} coefficients mu_l = tr(sigma_l^dag A) / d^n, in label order.
+
+    Two D x D buffers hold the work: a qubit site step reads one (A itself at
+    first) and writes the other, ``SITE_CHUNK`` entries at a time, and at
+    d >= 3 ``_qudit_transform`` gathers into one and multiplies through the other.
+    """
     A = as_operator(A)
     D = d**n
     if A.shape[0] != D:
         raise DimensionMismatch(f"operator dim {A.shape[0]} != {d}^{n}")
-    table = _site_matrices(d).conj().transpose(2, 3, 0, 1)
-    return _contract_sites(A.reshape((d,) * (2 * n)), table, n).reshape(-1) / D
+    first, second = np.empty((D, D), dtype=np.complex128), np.empty((D, D), dtype=np.complex128)
+    if d == 2:
+        T = A
+        # nothing is cast, so numpy's iteration buffers (8192 entries an operand
+        # by default, allocated on every call over these strided views) go unused
+        buffer_size = np.setbufsize(256)
+        try:
+            for s in range(n):
+                out = second if T is first else first
+                shape = (2**s, 2, 2 ** (n - 1), 2, 2 ** (n - 1 - s))  # the site's pair at axes 1, 3
+                t, o = T.reshape(shape), out.reshape(shape)
+                step = max(1, SITE_CHUNK * 2**s // D**2)  # leading indices per chunk
+                for lo in range(0, 2**s, step):
+                    _qubit_site(t[lo : lo + step], o[lo : lo + step])
+                T = out
+        finally:
+            np.setbufsize(buffer_size)
+        mu = A.copy() if T is A else T  # n = 0 leaves A alone
+    else:
+        mu = _qudit_transform(A, first, second, d, n)
+    parts = mu.view(np.float64)  # a real divisor divides each part alone
+    parts /= D
+    parts += 0.0  # -0.0 becomes 0.0, as in a matrix product's sums
+    return mu.reshape(-1)
 
 
 def stabilizer_measurement(a, b) -> Measurement:

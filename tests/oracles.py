@@ -106,6 +106,15 @@ def random_operator(D: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
 
 
+def dense_completeness_residual(ops) -> float:
+    """|sum_i M_i^dag M_i - I|_F from the whole D x D Gram matrix: the sum that
+    ``core.validate_measurement``'s blocked one replaced."""
+    ops = np.asarray(ops, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(m.conj().T @ m for m in ops)
+        return float(np.linalg.norm(gram - np.eye(ops.shape[1])))
+
+
 def renormalized(ops) -> Measurement:
     """The measurement {op S^{-1/2}} with S = sum_i op^dag op."""
     S = sum(op.conj().T @ op for op in ops)
@@ -338,11 +347,32 @@ def support_masks(d: int, n: int) -> np.ndarray:
     return masks.reshape(-1)
 
 
+def contract_sites(T: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """Contract each site's axis pair of T with the first two axes of table.
+
+    T has shape (d,)*2n with axes (a_1..a_n, b_1..b_n); site s contracts
+    (a_s, b_s) against table[a, b, c, e] and the result has axes
+    (c_1..c_n, e_1..e_n).
+    """
+    for s in range(n):
+        # site s's pair sits at axes 0 and n - s; its new pair goes last
+        T = np.tensordot(T, table, axes=([0, n - s], [0, 1]))
+    return T.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+
+
+def mu_vector_tensordot(A, d: int, n: int) -> np.ndarray:
+    """mu_vector as one tensordot per site: the chain of three live D x D
+    tensors and a final transpose that ``pauli.mu_vector`` replaced."""
+    A = as_operator(A)
+    table = pauli._site_matrices(d).conj().transpose(2, 3, 0, 1)
+    return contract_sites(A.reshape((d,) * (2 * n)), table, n).reshape(-1) / d**n
+
+
 def matrix_from_mu(mu: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Inverse of mu_vector: A = sum_l mu_l sigma_l, by the same per-site contraction."""
+    """Inverse of mu_vector: A = sum_l mu_l sigma_l, by the per-site contraction."""
     D = d**n
     coefficients = np.reshape(mu, (d,) * (2 * n))
-    return pauli._contract_sites(coefficients, pauli._site_matrices(d), n).reshape(D, D)
+    return contract_sites(coefficients, pauli._site_matrices(d), n).reshape(D, D)
 
 
 def f_T(A, T: set[int], d: int) -> np.ndarray:

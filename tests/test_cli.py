@@ -323,7 +323,7 @@ class TestMeasurementFiles:
          120),
         (document(IDENTITY_2, ', "metadata": {"x": 01}').encode(), 115),
         (('{"d": 2, "metadata": {"x": ' + "1" * 5000 + '}, "version": 1, "n": 1, '
-          '"operators": ' + IDENTITY_2 + "}").encode(), 21),  # the metadata value's byte
+          '"operators": ' + IDENTITY_2 + "}").encode(), 27),  # the integer's first digit
     ], ids=["raw tab", "bad UTF-8 byte", "leading zero", "past the digit limit"])
     def test_value_error_names_the_byte(self, tmp_path, data, byte):
         # json's scanner and the UTF-8 decoder name positions in the window's

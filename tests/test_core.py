@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmtest import core, pauli
 
@@ -112,6 +115,76 @@ class TestValidateMeasurement:
         assert from_list.operators.tobytes() == block.tobytes()
         assert (np.float64(from_list.completeness_residual).tobytes()
                 == np.float64(from_block.completeness_residual).tobytes())
+
+
+def planted_measurement(kind: str, D: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A complete (k, D, D) block: dense, diagonal, or complete blocks on a random
+    split of D (some of size 1), under a random permutation of the basis."""
+    if kind == "dense":
+        return np.array(oracles.random_measurement(D, k, rng).operators)
+    cuts = np.flatnonzero(rng.random(D - 1) < (1.0 if kind == "diagonal" else 0.4)) + 1
+    ops = np.zeros((k, D, D), dtype=complex)
+    for block in np.split(np.arange(D), cuts):
+        part = oracles.random_measurement(len(block), k, rng).operators
+        ops[np.ix_(range(k), block, block)] = part
+    perm = rng.permutation(D)
+    return ops[:, perm][:, :, perm]
+
+
+class TestCompletenessResidual:
+    """The Gram sum by blocks of the nonzero pattern and by row blocks, against
+    the dense D x D sum it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["dense", "diagonal", "blocks"]), D=st.integers(1, 40),
+           k=st.integers(1, 4), exponent=st.floats(-14, -1), sign=st.sampled_from([-1, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_sum(self, kind, D, k, exponent, sign, seed):
+        # scaling a complete measurement by sqrt(1 + e) puts its residual near
+        # |e| sqrt(D), on both sides of the threshold
+        rng = np.random.default_rng(seed)
+        ops = planted_measurement(kind, D, k, rng) * math.sqrt(1 + sign * 10.0**exponent)
+        want = oracles.dense_completeness_residual(ops)
+        got = core.validate_measurement(ops, math.inf).completeness_residual
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13)  # abs: rounding of a complete one
+        tol = core.DEFAULT_COMPLETENESS_TOL
+        if abs(want - tol) > 1e-12:
+            try:
+                core.validate_measurement(ops)
+                accepted = True
+            except core.CompletenessViolation:
+                accepted = False
+            assert accepted == (want <= tol)
+
+    def test_components_of_a_planted_pattern(self):
+        # blocks {0, 3}, {1, 4, 5}, the isolated 2 and the all-zero 6
+        ops = np.zeros((2, 7, 7), dtype=complex)
+        ops[0, 0, 3] = ops[1, 3, 3] = ops[0, 4, 1] = ops[1, 5, 4] = ops[0, 2, 2] = 1
+        singles, blocks = core._pattern_components(ops)
+        assert singles.tolist() == [2, 6]
+        assert [b.tolist() for b in blocks] == [[0, 3], [1, 4, 5]]
+
+    def test_overflow_gives_a_residual_that_fails(self):
+        for ops in ([np.full((3, 3), 1e200)], [np.diag([1e200, 1.0, 1.0])]):
+            with pytest.raises(core.CompletenessViolation):
+                core.validate_measurement(ops)
+
+    def test_memory_traced(self, rng):
+        # a dense pair at D = 512: the dense sum held three D x D complex arrays
+        # (12 MiB); row blocks and the nonzero pattern stay under one (4 MiB)
+        D = 512
+        half = core.random_unitary(D, rng)[:, : D // 2]
+        projector = half @ half.conj().T
+        ops = np.array([projector, np.eye(D) - projector])
+        ops.setflags(write=False)  # so validation keeps the block and copies nothing
+        tracemalloc.start()
+        try:
+            meas = core.validate_measurement(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert meas.operators is ops
+        assert peak < 16 * D**2
 
 
 class TestApplyMeasurement:

@@ -195,18 +195,45 @@ class TestTransformOracle:
                     for lbl in oracles.all_labels(d, n)]
         np.testing.assert_array_equal(oracles.support_masks(d, n), expected)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_qubit_transform_is_the_tensordot_chain_bit_for_bit(self, n, rng):
+        # exact sums of two entries; -0.0 entries come out as 0.0, as in BLAS sums
+        D = 2**n
+        zeros = np.zeros((D, D), dtype=complex)
+        zeros.real = np.where(rng.random((D, D)) < 0.5, -0.0, 0.0)
+        zeros.imag = np.where(rng.random((D, D)) < 0.5, -0.0, rng.integers(-2, 3, (D, D)))
+        for A in (oracles.random_operator(D, rng), zeros,
+                  -np.diag(rng.standard_normal(D)).astype(complex)):
+            want = oracles.mu_vector_tensordot(A, 2, n)
+            assert pauli.mu_vector(A, 2, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5),
+                                     (4, 1), (4, 2), (4, 3), (4, 4)])
+    def test_qudit_transform_is_the_tensordot_chain(self, d, n, rng):
+        A = oracles.random_operator(d**n, rng)
+        want = oracles.mu_vector_tensordot(A, d, n)
+        assert np.abs(pauli.mu_vector(A, d, n) - want).max() <= 1e-15 * np.abs(want).max()
+
     def test_mu_vector_memory_is_a_few_operators(self, rng):
-        # (2, 7): D = 128, so 8 complex D x D arrays are 2 MB; a table over
-        # all d^{2n} labels and d^n columns would need over 100 MB
-        D = 2**7
+        self.assert_two_operators(2, 8, rng)
+
+    def test_qudit_mu_vector_memory_is_a_few_operators(self, rng):
+        self.assert_two_operators(3, 5, rng)
+
+    @staticmethod
+    def assert_two_operators(d, n, rng):
+        # two D x D buffers; the tensordot chain held three D x D tensors, and a
+        # table over all d^{2n} labels and d^n columns would need far more
+        D = d**n
         A = oracles.random_operator(D, rng)
+        pauli.mu_vector(A, d, n)  # the site tables are cached
         tracemalloc.start()
         try:
-            pauli.mu_vector(A, 2, 7)
+            pauli.mu_vector(A, d, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * D**2 * 16
+        assert peak <= 2 * 16 * D**2 + 64 * 2**10
 
 
 class TestSupportAndLocality:

@@ -438,16 +438,18 @@ class TestIsotypicProjectors:
 
     def test_memory_traced(self):
         # the projectors are written into one read-only block that the measurement
-        # keeps: 96 MiB at (2, 10), plus four D x D complex arrays for one V V^T and
-        # the Gram sum.  Held as a float list, complex copies and read-only copies
-        # of those, they peaked at 256 MiB
+        # keeps: 96 MiB at (2, 10), plus two D x D complex arrays' worth for one
+        # V V^T and the completeness check, which gathers the blocks of the nonzero
+        # pattern and forms a few Gram rows at a time.  Held as a float list,
+        # complex copies and read-only copies of those, they peaked at 256 MiB, and
+        # with the whole D x D Gram sum at 153 MiB
         tracemalloc.start()
         try:
             ops = schur.isotypic_projectors(2, 10).operators
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ops.nbytes + 4 * 16 * 2**20
+        assert peak <= ops.nbytes + 2 * 16 * 2**20
         assert ops.base is None and not ops.flags.writeable
 
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (4, 3)])
